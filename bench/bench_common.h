@@ -14,9 +14,11 @@
 //   --seed S        base RNG seed
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/deadline_policy.h"
@@ -36,6 +38,11 @@ struct BenchOptions {
   std::size_t runs = 1;
   std::string csv_dir;
   std::uint64_t seed = 1;
+
+  // The flags from_cli reads (tools that reject unknown flags accept
+  // these too).
+  static constexpr std::array<std::string_view, 6> kFlags = {
+      "full", "scale", "rounds", "runs", "csv", "seed"};
 
   static BenchOptions from_cli(int argc, char** argv);
 };

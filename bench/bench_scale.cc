@@ -14,35 +14,22 @@
 //     which is why scales run in ascending order),
 //   * ClientPool accounting: peak simultaneously-materialized clients
 //     and total materializations, the numbers that prove memory is
-//     bounded by the in-flight cohort rather than the population.
-//
-// Sharded runtime: every run reports two throughputs —
-//
-//   * events/sec end-to-end (events / run wall seconds), and
-//   * simulator events/sec (events / (run − ML phases − engine bookends)):
-//     the steady-state event-machinery rate with the ML wall time
+//     bounded by the in-flight cohort rather than the population,
+//   * two throughputs: events/sec end-to-end (events / run wall seconds)
+//     and simulator events/sec (events / (run − ML phases − engine
+//     bookends)), the event-machinery rate with the ML wall time
 //     (train/eval/aggregate phases) and the one-time O(population)
 //     setup/finalize bookends (async.setup_ns + async.finalize_ns)
-//     subtracted out — what the sharded queue + order-statistics client
-//     sets speed up and what the ROADMAP's throughput target is measured
-//     against.
+//     subtracted out,
+//   * an FNV-1a hash of the final model weights.
 //
-// After the scale sweep the bench runs the largest scale at --shards
-// 1/2/4/8 (fresh federation per point, identical seed) and records the
-// events/sec-vs-shards curve plus an FNV-1a hash of the final model
-// weights per point: the hashes must all be equal — the sharded runtime's
-// bit-reproducibility contract, which CI diffs.
-//
-// Results land in BENCH_scale.json.  Acceptance bars: the 1M-client
-// churned run completes in < 4 GB peak RSS, and its simulator events/sec
-// clears 100x the pre-sharding baseline (~1.9k ev/s).
+// Results land in BENCH_scale.json.  Acceptance bar: the 1M-client
+// churned run completes in < 4 GB peak RSS.
 //
 // Flags: --smoke (100k only), --clients N (single custom scale),
-//        --updates N, --shards N (pin one shard count; default sweeps
-//        1/2/4/8 after the scale table), --json PATH.
+//        --updates N, --json PATH.
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -73,7 +60,7 @@ double peak_rss_mb() {
 }
 
 // FNV-1a over the raw float bits: any single-bit weight divergence
-// across shard counts flips it (CI diffs the sweep's hashes).
+// flips it.
 std::uint64_t weight_hash(const std::vector<float>& weights) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (float w : weights) {
@@ -89,7 +76,6 @@ std::uint64_t weight_hash(const std::vector<float>& weights) {
 
 struct ScaleResult {
   std::size_t clients = 0;
-  std::size_t shards = 1;
   double build_seconds = 0.0;
   double run_seconds = 0.0;
   double sim_seconds = 0.0;  // run minus ML phases and engine bookends
@@ -141,10 +127,9 @@ ScenarioConfig scale_config(std::size_t clients, std::size_t updates,
 }
 
 ScaleResult run_scale(std::size_t clients, std::size_t updates,
-                      std::uint64_t seed, std::size_t shards) {
+                      std::uint64_t seed) {
   ScaleResult result;
   result.clients = clients;
-  result.shards = shards;
   // Per-scale snapshot: zero the global registry so each scale's metrics
   // block reflects that run only (instrument references stay valid).
   obs::Registry::global().reset();
@@ -163,7 +148,6 @@ ScaleResult run_scale(std::size_t clients, std::size_t updates,
   async.churn.join_rate = 1.0;
   async.churn.leave_rate = 1.0;
   async.churn.slowdown_rate = 2.0;
-  async.shards = shards;
 
   t0 = now_seconds();
   const fl::AsyncRunResult run = scenario.system->run_async(async);
@@ -221,7 +205,6 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_scale.json";
   std::size_t updates = 512;
   std::size_t custom_clients = 0;
-  std::size_t pinned_shards = 0;  // 0 = sweep 1/2/4/8 after the table
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
@@ -232,12 +215,10 @@ int main(int argc, char** argv) {
       updates = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--clients" && i + 1 < argc) {
       custom_clients = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--shards" && i + 1 < argc) {
-      pinned_shards = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else {
       std::fprintf(stderr,
                    "usage: bench_scale [--smoke] [--clients N] [--updates N] "
-                   "[--shards N] [--json PATH]\n");
+                   "[--json PATH]\n");
       return 2;
     }
   }
@@ -245,58 +226,23 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> scales{10000, 100000, 1000000};
   if (smoke) scales = {100000};
   if (custom_clients > 0) scales = {custom_clients};
-  const std::size_t table_shards = pinned_shards > 0 ? pinned_shards : 1;
 
-  const auto print_row = [](const ScaleResult& r) {
-    std::printf(
-        "%-10zu %6zu %9.2f %9.2f %8zu %8zu %8.0f %9.0f %10zu %9zu %10.1f\n",
-        r.clients, r.shards, r.build_seconds, r.run_seconds, r.updates,
-        r.events, r.events_per_second, r.sim_events_per_second,
-        r.pool_peak_live, r.pool_materializations, r.peak_rss_mb);
-  };
-  std::printf("%-10s %6s %9s %9s %8s %8s %8s %9s %10s %9s %10s\n", "clients",
-              "shards", "build [s]", "run [s]", "updates", "events", "ev/s",
+  std::printf("%-10s %9s %9s %8s %8s %8s %9s %10s %9s %10s\n", "clients",
+              "build [s]", "run [s]", "updates", "events", "ev/s",
               "sim ev/s", "pool peak", "mat.", "RSS [MB]");
   std::vector<ScaleResult> results;
   for (std::size_t clients : scales) {
-    const ScaleResult r = run_scale(clients, updates, /*seed=*/1,
-                                    table_shards);
-    print_row(r);
+    const ScaleResult r = run_scale(clients, updates, /*seed=*/1);
+    std::printf(
+        "%-10zu %9.2f %9.2f %8zu %8zu %8.0f %9.0f %10zu %9zu %10.1f\n",
+        r.clients, r.build_seconds, r.run_seconds, r.updates, r.events,
+        r.events_per_second, r.sim_events_per_second, r.pool_peak_live,
+        r.pool_materializations, r.peak_rss_mb);
     results.push_back(r);
   }
 
-  // events/sec-vs-shards curve at the largest scale (fresh federation per
-  // point, identical seed: the weight hashes must be identical — the
-  // sharded runtime's bit-reproducibility contract).  The curve measures
-  // steady-state event throughput, so it needs enough events to amortize
-  // the churn streams past the profiled bookends — floor the update count
-  // well above the default scale-sweep budget.
-  const std::size_t sweep_updates = std::max<std::size_t>(updates, 8192);
-  std::vector<ScaleResult> sweep;
-  if (pinned_shards == 0) {
-    for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                               std::size_t{8}}) {
-      const ScaleResult r =
-          run_scale(scales.back(), sweep_updates, /*seed=*/1, shards);
-      print_row(r);
-      sweep.push_back(r);
-    }
-    for (const ScaleResult& r : sweep) {
-      if (r.final_weight_hash != sweep.front().final_weight_hash) {
-        std::fprintf(stderr,
-                     "FATAL: final weights diverged across shard counts "
-                     "(%zu shards: %016llx vs 1 shard: %016llx)\n",
-                     r.shards,
-                     static_cast<unsigned long long>(r.final_weight_hash),
-                     static_cast<unsigned long long>(
-                         sweep.front().final_weight_hash));
-        return 1;
-      }
-    }
-  }
-
   const auto emit = [](std::ofstream& json, const ScaleResult& r) {
-    json << "    {\"clients\": " << r.clients << ", \"shards\": " << r.shards
+    json << "    {\"clients\": " << r.clients
          << ", \"build_seconds\": " << r.build_seconds
          << ", \"run_seconds\": " << r.run_seconds
          << ", \"sim_seconds\": " << r.sim_seconds
@@ -320,11 +266,6 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     emit(json, results[i]);
     json << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"shard_sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    emit(json, sweep[i]);
-    json << (i + 1 < sweep.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::printf("wrote %s\n", json_path.c_str());

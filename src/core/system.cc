@@ -163,14 +163,6 @@ fl::AsyncRunResult TiflSystem::run_async(
   if (resolved.time_budget_seconds == 0.0) {
     resolved.time_budget_seconds = config_.engine.time_budget_seconds;
   }
-  // Match the pool's cache segmentation to the worker-shard count so each
-  // event-queue shard's clients age in their own LRU.  Performance-only:
-  // materialization is a pure function of the id, so skipping (a previous
-  // run's cache still holds entries) never changes results.
-  if (pool_->virtualized() && resolved.shards != pool_->cache_segments() &&
-      pool_->live_clients() == 0) {
-    pool_->set_cache_segments(resolved.shards);
-  }
   fl::AsyncEngine engine(config_.engine, resolved, factory_, &*pool_,
                          tiers_.members, test_, latency_model_);
   if (policy != nullptr) {
@@ -330,10 +322,6 @@ fl::hier::HierRunResult TiflSystem::run_hier(
   }
   if (resolved.time_budget_seconds == 0.0) {
     resolved.time_budget_seconds = config_.engine.time_budget_seconds;
-  }
-  if (pool_->virtualized() && resolved.shards != pool_->cache_segments() &&
-      pool_->live_clients() == 0) {
-    pool_->set_cache_segments(resolved.shards);
   }
 
   const std::size_t num_clients = pool_->size();

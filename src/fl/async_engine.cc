@@ -16,7 +16,7 @@
 #include "obs/trace.h"
 #include "obs/wall_time.h"
 #include "sim/event_log.h"
-#include "sim/sharded_event_queue.h"
+#include "sim/event_queue.h"
 #include "util/log.h"
 #include "util/segmented_id_set.h"
 #include "util/thread_pool.h"
@@ -174,10 +174,9 @@ struct AsyncMetrics {
   obs::Counter& leaves;
   obs::Counter& slowdowns;
   obs::Counter& reprofiles;
-  obs::Counter& barriers;
   // One-time run setup (per-client state arrays, membership sets, initial
-  // heap fill) and end-of-run finalization (flat membership reporting,
-  // per-shard metric merges) — wall time, so benches can report
+  // heap fill) and end-of-run finalization (flat membership reporting)
+  // — wall time, so benches can report
   // steady-state event throughput separately from the O(population)
   // bookends.
   obs::Counter& setup_ns;
@@ -191,7 +190,6 @@ struct AsyncMetrics {
   obs::Counter& dropped_updates;
   obs::Histo& staleness;
   obs::Histo& event_batch;
-  obs::Histo& barrier_tasks;
 };
 
 AsyncMetrics& async_metrics() {
@@ -206,7 +204,6 @@ AsyncMetrics& async_metrics() {
       reg.counter("async.leaves"),
       reg.counter("async.slowdowns"),
       reg.counter("async.reprofiles"),
-      reg.counter("async.barriers"),
       reg.counter("async.setup_ns"),
       reg.counter("async.finalize_ns"),
       reg.counter("checkpoint.writes"),
@@ -216,7 +213,6 @@ AsyncMetrics& async_metrics() {
       reg.counter("fault.dropped_updates"),
       reg.histogram("async.staleness"),
       reg.histogram("async.event_batch"),
-      reg.histogram("async.barrier_tasks"),
   };
   return m;
 }
@@ -254,93 +250,10 @@ LocalUpdate get_update(util::ByteSource& source) {
   return update;
 }
 
-void put_records(util::ByteSink& sink,
-                 const std::vector<RoundRecord>& records) {
-  sink.put_u64(records.size());
-  for (const RoundRecord& r : records) {
-    sink.put_u64(r.round);
-    sink.put_f64(r.virtual_time);
-    sink.put_f64(r.round_latency);
-    sink.put_f64(r.global_accuracy);
-    sink.put_f64(r.global_loss);
-    sink.put_f64(r.train_loss);
-    sink.put_i64(r.selected_tier);
-    sink.put_size_vec(r.selected_clients);
-  }
-}
-
-std::vector<RoundRecord> get_records(util::ByteSource& source) {
-  const std::size_t count = source.checked_count(source.get_u64(), 8 * 7);
-  std::vector<RoundRecord> records;
-  records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    RoundRecord r;
-    r.round = static_cast<std::size_t>(source.get_u64());
-    r.virtual_time = source.get_f64();
-    r.round_latency = source.get_f64();
-    r.global_accuracy = source.get_f64();
-    r.global_loss = source.get_f64();
-    r.train_loss = source.get_f64();
-    r.selected_tier = static_cast<int>(source.get_i64());
-    r.selected_clients = source.get_size_vec();
-    records.push_back(std::move(r));
-  }
-  return records;
-}
-
-void put_queue(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
-  sink.put_f64(queue.now());
-  sink.put_u64(queue.next_seq());
-  const std::vector<sim::Event> events = queue.pending();
-  sink.put_u64(events.size());
-  for (const sim::Event& e : events) {
-    sink.put_f64(e.time);
-    sink.put_u64(e.seq);
-    sink.put_u64(e.kind);
-    sink.put_u64(e.actor);
-  }
-}
-
-void get_queue(util::ByteSource& source, sim::ShardedEventQueue& queue) {
-  const double now = source.get_f64();
-  const std::uint64_t next_seq = source.get_u64();
-  const std::size_t count = source.checked_count(source.get_u64(), 32);
-  std::vector<sim::Event> events(count);
-  for (sim::Event& e : events) {
-    e.time = source.get_f64();
-    e.seq = source.get_u64();
-    e.kind = source.get_u64();
-    e.actor = source.get_u64();
-  }
-  queue.restore(now, next_seq, events);
-}
-
-// The merged metrics view at checkpoint time: the process-global registry
-// plus the queue's per-shard registries (which only fold into the global
-// one at finalize).  Restored wholesale into the global registry on
-// resume, so the resumed run's finalize-time totals equal the
-// uninterrupted run's for every deterministic instrument.
-void put_metrics(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
-  obs::Registry merged;
-  merged.merge_from(obs::Registry::global());
-  queue.merge_metrics_into(merged);
-  util::ByteSink blob;
-  merged.save(blob);
-  sink.put_string(blob.bytes());
-}
-
-void get_metrics(util::ByteSource& source) {
-  const std::string blob = source.get_string();
-  util::ByteSource blob_source(blob);
-  obs::Registry::global().restore(blob_source);
-}
-
 // Guards a resume against a drifted configuration: every knob that shapes
 // the deterministic trajectory is folded in.  Deliberately excluded:
-// shards and barrier_window (bit-invariant runtime knobs — a snapshot
-// taken at --shards 8 may resume at --shards 1), fault.crash_at (the
-// crash point is process fate, not trajectory) and the durability paths
-// themselves.
+// fault.crash_at (the crash point is process fate, not trajectory) and
+// the durability paths themselves.
 std::uint64_t config_fingerprint(const EngineConfig& config,
                                  const AsyncConfig& async, std::uint64_t seed,
                                  std::size_t num_tiers,
@@ -498,12 +411,6 @@ void AsyncEngine::validate() const {
   if (std::isnan(async_.reprofile_every) || async_.reprofile_every < 0.0) {
     throw std::invalid_argument("AsyncEngine: negative reprofile_every");
   }
-  if (async_.shards == 0) {
-    throw std::invalid_argument("AsyncEngine: shards must be > 0");
-  }
-  if (std::isnan(async_.barrier_window) || async_.barrier_window < 0.0) {
-    throw std::invalid_argument("AsyncEngine: negative or NaN barrier_window");
-  }
   if (std::isnan(async_.checkpoint_every) || async_.checkpoint_every < 0.0) {
     throw std::invalid_argument(
         "AsyncEngine: negative or NaN checkpoint_every");
@@ -581,6 +488,32 @@ nn::LossResult AsyncEngine::evaluate(std::span<const float> weights,
                           config_.eval_chunk);
 }
 
+std::vector<LocalUpdate> AsyncEngine::train_cohort(
+    std::span<const std::size_t> cohort, std::span<const float> global,
+    double lr, std::uint64_t seed, std::size_t dispatch_seq,
+    obs::PhaseTimer& phases) {
+  const std::size_t count = cohort.size();
+  LocalTrainParams params = config_.local;
+  params.lr = lr;
+  for (std::size_t i = 0; i < count; ++i) scratch_model(i + 1);
+  std::vector<LocalUpdate> updates(count);
+  obs::ScopedPhase phase(&phases, obs::Phase::kTrain);
+  // Leases pin (and on a virtualized pool, materialize) the cohort's
+  // training state for exactly the duration of local training.
+  std::vector<ClientPool::Lease> leases;
+  leases.reserve(count);
+  for (std::size_t id : cohort) leases.push_back(clients_->lease(id));
+  pool().parallel_for(0, count, [&](std::size_t i) {
+    const Client& client = *leases[i];
+    // Deterministic stream per (dispatch seq, client id): the async
+    // analogue of the sync engine's (round, client id) fork.
+    util::Rng client_rng(util::mix_seed(seed, dispatch_seq, client.id()));
+    updates[i] =
+        client.local_update(global, scratch_[i + 1], params, client_rng);
+  });
+  return updates;
+}
+
 AsyncRunResult AsyncEngine::run(std::optional<std::uint64_t> seed_override) {
   const std::uint64_t seed = seed_override.value_or(config_.seed);
   // Default policy: uniform self-sampling — an explicit instance of the
@@ -616,9 +549,8 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   std::vector<PendingRound> pending(num_tiers);
 
   // Tier-round completions are the only scheduled events here, so tiers
-  // are the actor space.  Any shard count pops the single-heap (time,
-  // seq) order (oracle-pinned), so results don't depend on async_.shards.
-  sim::ShardedEventQueue queue(async_.shards, num_tiers);
+  // are the actor space.
+  sim::EventQueue queue;
   AsyncRunResult out;
   out.result.policy_name =
       policy_ != nullptr
@@ -697,30 +629,8 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     round.selected = std::move(selection.clients);
     round.dispatch_version = version;
 
-    LocalTrainParams params = config_.local;
-    params.lr = tier_lr[tier];
-
-    for (std::size_t i = 0; i < count; ++i) scratch_model(i + 1);
-    round.updates.assign(count, LocalUpdate{});
-    // Leases pin (and on a virtualized pool, materialize) the cohort's
-    // training state for exactly the duration of local training.
-    std::vector<ClientPool::Lease> leases;
-    leases.reserve(count);
-    {
-      obs::ScopedPhase phase(&phases, obs::Phase::kTrain);
-      for (std::size_t id : round.selected) {
-        leases.push_back(clients_->lease(id));
-      }
-      pool().parallel_for(0, count, [&](std::size_t i) {
-        const Client& client = *leases[i];
-        // Deterministic stream per (event-seq, client id): the async
-        // analogue of the sync engine's (round, client id) fork.
-        util::Rng client_rng(util::mix_seed(seed, dispatch_seq, client.id()));
-        round.updates[i] =
-            client.local_update(global, scratch_[i + 1], params, client_rng);
-      });
-      leases.clear();
-    }
+    round.updates = train_cohort(round.selected, global, tier_lr[tier], seed,
+                                 dispatch_seq, phases);
     ++dispatch_seq;
 
     // A tier round is internally synchronous: it completes when its
@@ -732,7 +642,8 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
           round.latency,
           latency_model_.sample_latency(clients_->resource(id),
                                         clients_->train_size(id),
-                                        params.epochs, rngs.latency[tier]));
+                                        config_.local.epochs,
+                                        rngs.latency[tier]));
     }
     queue.schedule(round.latency, /*kind=*/0, /*actor=*/tier);
     ++scheduled;
@@ -749,7 +660,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   // Serializes every loop-local that determines the run's future: stream
   // positions, per-tier server state, in-flight rounds (trained at
   // dispatch, so their updates travel with the snapshot), the queue, the
-  // fault/policy state and the merged metrics view.  Restore is the exact
+  // fault/policy state and the metrics registry.  Restore is the exact
   // mirror; both sides stream through the same flat ByteSink layout.
   const std::uint64_t fingerprint = config_fingerprint(
       config_, async_, seed, num_tiers, clients_->size(), global.size());
@@ -790,7 +701,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     sink.put_u64(out.processed_events);
     sink.put_u64(out.max_event_batch);
     sink.put_f64(next_checkpoint_due);
-    put_queue(sink, queue);
+    queue.save_state(sink);
     {
       util::ByteSink blob;
       fault.save_state(blob);
@@ -801,7 +712,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
       policy.save_state(blob);
       sink.put_string(blob.bytes());
     }
-    put_metrics(sink, queue);
+    put_metrics(sink);
   };
 
   const bool resuming = !async_.resume_path.empty();
@@ -848,7 +759,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     // resumed run recomputes it from its *own* config (a resume without
     // --checkpoint must never attempt a write).
     (void)source.get_f64();
-    get_queue(source, queue);
+    queue.restore_state(source);
     next_checkpoint_due =
         async_.checkpoint_every > 0.0
             ? (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
@@ -926,7 +837,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
           if (retry_count[tier] < async_.fault.max_retries) {
             // Lost in transit: park the round and retry the delivery after
             // a deterministic backoff (no RNG draw — the rescheduled event
-            // flows through the queue, so the retry is shard-invariant).
+            // flows through the queue like any other).
             ++retry_count[tier];
             queue.schedule(fault.backoff(retry_count[tier]), /*kind=*/0,
                            /*actor=*/tier);
@@ -1067,7 +978,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     }
     // Checkpoint at batch boundaries once virtual time crosses the due
     // point: the trigger is a pure function of event times (never a queue
-    // event), so it is shard-count invariant and perturbs no seqs.
+    // event), so it perturbs no seqs.
     if (!budget_exhausted && queue.now() >= next_checkpoint_due) {
       write_checkpoint();
       next_checkpoint_due =
@@ -1093,9 +1004,6 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   for (const std::vector<std::size_t>& members : tier_members_) {
     out.final_live_clients += members.size();
   }
-  // Fold the per-shard queue registries into the process-global snapshot
-  // under the single-queue instrument names (sim.events_popped etc.).
-  queue.merge_metrics_into(obs::Registry::global());
   metrics.finalize_ns.add(obs::wall_ns_count_since(finalize_start));
   return out;
 }
@@ -1220,10 +1128,9 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     if (it != ids.end() && *it == id) ids.erase(it);
   };
 
-  // Clients are the actor space: each shard owns a contiguous id range
-  // and its own heap, and pops replay the single-heap (time, seq) order
-  // at every shard count (lifecycle/reprofile events ride on actor 0).
-  sim::ShardedEventQueue queue(async_.shards, num_clients);
+  // Clients are the actor space (lifecycle/reprofile events ride on
+  // actor 0).
+  sim::EventQueue queue;
   AsyncRunResult out;
   out.result.policy_name =
       policy_ != nullptr ? "async-dyn/" + policy.name() + "/" +
@@ -1235,58 +1142,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   std::vector<double> accum_scratch;      // aggregate_global scratch
 
   std::size_t dispatch_seq = 0;
-
-  // Deferred cohort training (barrier windows).  A dispatch snapshots the
-  // global model and its dispatch seq into a TrainTask instead of
-  // training inline; tasks flush through the thread pool at the window
-  // barrier, or early when one of their members' arrival lands inside the
-  // same window.  Training is order-independent — each client's RNG is
-  // forked from (dispatch seq, client id) and reads only the snapshot —
-  // so any flush point (including the window-0 default) produces
-  // byte-identical weights to the legacy train-at-dispatch.
-  struct TrainTask {
-    std::vector<std::size_t> members;  // selection order
-    std::vector<float> snapshot;       // global at dispatch time
-    double lr = 0.0;
-    std::size_t seq = 0;  // dispatch_seq at creation (RNG fork key)
-    bool done = false;
-  };
-  std::vector<TrainTask> window_tasks;
-  constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> task_of(num_clients, kNoTask);
-  std::vector<std::size_t> train_ids;            // run_task scratch
-  std::vector<ClientPool::Lease> lease_scratch;  // run_task scratch
-
-  const auto run_task = [&](std::size_t index) {
-    TrainTask& task = window_tasks[index];
-    if (task.done) return;
-    task.done = true;
-    // Only members still awaiting *this* dispatch train: a mid-window
-    // leave clears in_flight, and a same-window re-dispatch of a member
-    // (leave + rejoin) re-points its task_of at the newer task.
-    train_ids.clear();
-    for (std::size_t c : task.members) {
-      if (in_flight[c] && task_of[c] == index) train_ids.push_back(c);
-    }
-    if (train_ids.empty()) return;
-    const std::size_t count = train_ids.size();
-    LocalTrainParams params = config_.local;
-    params.lr = task.lr;
-    for (std::size_t i = 0; i < count; ++i) scratch_model(i + 1);
-    obs::ScopedPhase phase(&phases, obs::Phase::kTrain);
-    lease_scratch.clear();
-    lease_scratch.reserve(count);
-    for (std::size_t id : train_ids) {
-      lease_scratch.push_back(clients_->lease(id));
-    }
-    pool().parallel_for(0, count, [&](std::size_t i) {
-      const Client& client = *lease_scratch[i];
-      util::Rng client_rng(util::mix_seed(seed, task.seq, client.id()));
-      flight_update[client.id()] = client.local_update(
-          task.snapshot, scratch_[i + 1], params, client_rng);
-    });
-    lease_scratch.clear();
-  };
 
   const auto expected_latency = [&](std::size_t c) {
     return latency_model_.expected_latency(clients_->resource(c),
@@ -1431,15 +1286,10 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     round.accum.assign(weight_count, 0.0);
     round.weight_total = 0.0;
 
-    // Snapshot the model and dispatch seq; training runs at the window
-    // barrier (or at the cohort's first same-window arrival).
-    const std::size_t task_index = window_tasks.size();
-    window_tasks.push_back(TrainTask{});
-    TrainTask& task = window_tasks.back();
-    task.members = std::move(selected);
-    task.snapshot = global;
-    task.lr = tier_lr[tier];
-    task.seq = dispatch_seq;
+    // Train the cohort at dispatch; each update waits in flight_update
+    // until its member's arrival folds it in.
+    std::vector<LocalUpdate> updates = train_cohort(
+        selected, global, tier_lr[tier], seed, dispatch_seq, phases);
     ++dispatch_seq;
 
     // One bulk insert for the whole cohort: same (time, seq) keys as the
@@ -1447,18 +1297,18 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     std::vector<sim::PendingEvent> cohort;
     cohort.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t c = task.members[i];
+      const std::size_t c = selected[i];
       const double latency =
           latency_model_.sample_latency(clients_->resource(c),
                                         clients_->train_size(c),
                                         config_.local.epochs,
                                         rngs.latency[tier]) *
           latency_scale[c];
+      flight_update[c] = std::move(updates[i]);
       in_flight[c] = 1;
       ++in_flight_count;
       flight_retries[c] = 0;
       sorted_insert(inflight_by_tier[tier], c);
-      task_of[c] = task_index;
       flight_tier[c] = tier;
       flight_dispatch_time[c] = queue.now();
       flight_dispatch_version[c] = version;
@@ -1514,14 +1364,13 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
 
   bool last_evaluated = false;
   bool stopped = false;
-  double window_end = -std::numeric_limits<double>::infinity();
 
   // --- snapshot payload (dynamic path) ---------------------------------------
   // Everything the event loop's future depends on: stream positions,
   // per-tier server state, the evolved membership, in-flight cohorts
-  // (trained updates travel with the snapshot; untrained cohorts travel
-  // as their deferred TrainTask), churn/re-tierer/policy/fault state, the
-  // queue, and the merged metrics view.
+  // (trained at dispatch, so their updates travel with the snapshot),
+  // churn/re-tierer/policy/fault state, the queue, and the metrics
+  // registry.
   const std::uint64_t fingerprint = config_fingerprint(
       config_, async_, seed, num_tiers, num_clients, weight_count);
   const auto save_state = [&](util::ByteSink& sink) {
@@ -1566,9 +1415,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       sink.put_u64(flight_dispatch_version[c]);
       sink.put_f64(arrival_time[c]);
       sink.put_u64(flight_retries[c]);
-      const bool trained = !flight_update[c].weights.empty();
-      sink.put_bool(trained);
-      if (trained) put_update(sink, flight_update[c]);
+      put_update(sink, flight_update[c]);
     }
     for (const DynRound& round : rounds) {
       sink.put_bool(round.active);
@@ -1577,25 +1424,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       sink.put_f64(round.weight_total);
       sink.put_f64_vec(round.accum);
     }
-    // Deferred window tasks, their membership pointers, the open window.
-    sink.put_u64(window_tasks.size());
-    for (const TrainTask& task : window_tasks) {
-      sink.put_size_vec(task.members);
-      sink.put_f32_vec(task.snapshot);
-      sink.put_f64(task.lr);
-      sink.put_u64(task.seq);
-      sink.put_bool(task.done);
-    }
-    std::uint64_t tasked = 0;
-    for (std::size_t t : task_of) tasked += t != kNoTask ? 1 : 0;
-    sink.put_u64(tasked);
-    for (std::size_t c = 0; c < num_clients; ++c) {
-      if (task_of[c] != kNoTask) {
-        sink.put_u64(c);
-        sink.put_u64(task_of[c]);
-      }
-    }
-    sink.put_f64(window_end);
     for (std::size_t t = 0; t < num_tiers; ++t) {
       sink.put_bool(parked[t] != 0);
     }
@@ -1625,7 +1453,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     sink.put_u64(out.processed_events);
     sink.put_u64(out.max_event_batch);
     sink.put_f64(next_checkpoint_due);
-    put_queue(sink, queue);
+    queue.save_state(sink);
     {
       util::ByteSink blob;
       fault.save_state(blob);
@@ -1636,7 +1464,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       policy.save_state(blob);
       sink.put_string(blob.bytes());
     }
-    put_metrics(sink, queue);
+    put_metrics(sink);
   };
 
   if (resuming) {
@@ -1698,8 +1526,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       flight_dispatch_version[c] = static_cast<std::size_t>(source.get_u64());
       arrival_time[c] = source.get_f64();
       flight_retries[c] = static_cast<std::size_t>(source.get_u64());
-      flight_update[c] =
-          source.get_bool() ? get_update(source) : LocalUpdate{};
+      flight_update[c] = get_update(source);
       inflight_by_tier[tier_of[c]].push_back(c);
     }
     for (DynRound& round : rounds) {
@@ -1709,24 +1536,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       round.weight_total = source.get_f64();
       round.accum = source.get_f64_vec();
     }
-    window_tasks.clear();
-    const std::size_t task_count = source.checked_count(source.get_u64(), 8);
-    for (std::size_t i = 0; i < task_count; ++i) {
-      TrainTask task;
-      task.members = source.get_size_vec();
-      task.snapshot = source.get_f32_vec();
-      task.lr = source.get_f64();
-      task.seq = static_cast<std::size_t>(source.get_u64());
-      task.done = source.get_bool();
-      window_tasks.push_back(std::move(task));
-    }
-    std::fill(task_of.begin(), task_of.end(), kNoTask);
-    const std::size_t tasked = source.checked_count(source.get_u64(), 16);
-    for (std::size_t i = 0; i < tasked; ++i) {
-      const std::size_t c = static_cast<std::size_t>(source.get_u64());
-      task_of.at(c) = static_cast<std::size_t>(source.get_u64());
-    }
-    window_end = source.get_f64();
     for (std::size_t t = 0; t < num_tiers; ++t) {
       parked[t] = source.get_bool() ? 1 : 0;
     }
@@ -1764,7 +1573,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     // resumed run recomputes it from its *own* config (a resume without
     // --checkpoint must never attempt a write).
     (void)source.get_f64();
-    get_queue(source, queue);
+    queue.restore_state(source);
     next_checkpoint_due =
         async_.checkpoint_every > 0.0
             ? (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
@@ -1813,35 +1622,13 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
   }
 
-  // Virtual-time barrier: run every deferred task dispatched inside the
-  // window that just closed (dispatch order), then forget them.  task_of
-  // is cleared blindly — every window task has run by then, so a member
-  // re-dispatched within the window already trained under its newer task.
-  const auto flush_window = [&]() {
-    if (window_tasks.empty()) return;
-    metrics.barriers.add();
-    metrics.barrier_tasks.record(static_cast<double>(window_tasks.size()));
-    for (std::size_t i = 0; i < window_tasks.size(); ++i) run_task(i);
-    for (const TrainTask& task : window_tasks) {
-      for (std::size_t c : task.members) task_of[c] = kNoTask;
-    }
-    window_tasks.clear();
-  };
-
   std::vector<sim::Event> batch;  // reused across pop_batch calls
   while (!queue.empty() && !stopped) {
-    // Injected server crash: fires strictly between batches (and before
-    // any window flush), so the last checkpoint is a consistent prefix.
+    // Injected server crash: fires strictly between batches, so the last
+    // checkpoint is a consistent prefix.
     if (fault.crash_at() > 0.0 && queue.peek().time >= fault.crash_at()) {
       if (event_log.is_open()) event_log.sync();
       throw sim::SimulatedCrash(queue.peek().time);
-    }
-    if (queue.peek().time > window_end) {
-      // The next event opens a new barrier window [T, T + window]: flush
-      // the cohorts the closing window deferred.  Window boundaries are a
-      // pure function of event times, so they are shard-count invariant.
-      flush_window();
-      window_end = queue.peek().time + async_.barrier_window;
     }
     // Same-timestamp batch drain as the static loop: in-batch order is
     // the exact (time, seq) pop order, and anything the handlers schedule
@@ -1879,8 +1666,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
             break;
           }
           // Injected network loss: one Bernoulli draw per delivery attempt,
-          // in pop order.  Decided *before* run_task so an untrained cohort
-          // stays deferred across retries.
+          // in pop order.
           if (fault.active() && fault.lose_update()) {
             metrics.lost_updates.add();
             if (flight_retries[c] < async_.fault.max_retries) {
@@ -1916,10 +1702,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
             break;
           }
           flight_retries[c] = 0;
-          // The cohort may still be awaiting its window barrier: train it
-          // now.  Deferred tasks are order-independent, so an early flush
-          // is byte-identical to flushing at the barrier.
-          if (task_of[c] != kNoTask) run_task(task_of[c]);
           in_flight[c] = 0;
           --in_flight_count;
           sorted_erase(inflight_by_tier[tier_of[c]], c);
@@ -2243,7 +2025,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
     // Checkpoint at batch boundaries once virtual time crosses the due
     // point: the trigger is a pure function of event times (never a queue
-    // event), so it is shard-count invariant and perturbs no seqs.
+    // event), so it perturbs no seqs.
     if (!stopped && queue.now() >= next_checkpoint_due) {
       write_checkpoint();
       next_checkpoint_due =
@@ -2265,9 +2047,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   out.result.phases = phases.stats();
   out.final_members = std::move(flat_tiers());
   out.final_live_clients = live_set.size();
-  // Fold the per-shard queue registries into the process-global snapshot
-  // under the single-queue instrument names (sim.events_popped etc.).
-  queue.merge_metrics_into(obs::Registry::global());
   metrics.finalize_ns.add(obs::wall_ns_count_since(finalize_start));
   return out;
 }

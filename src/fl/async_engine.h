@@ -49,6 +49,10 @@
 #include "sim/latency_model.h"
 #include "util/serial.h"
 
+namespace tifl::obs {
+class PhaseTimer;
+}
+
 namespace tifl::util {
 class ThreadPool;
 }
@@ -117,24 +121,6 @@ struct AsyncConfig {
   // version with churned runs.
   bool dynamic_lifecycle = false;
 
-  // --- sharded runtime -------------------------------------------------------
-  // Worker shards for the event queue (sim::ShardedEventQueue): each
-  // shard owns a contiguous actor range and its own event heap.  The
-  // global pop order is the single-heap (time, seq) order at every shard
-  // count, so results are bit-reproducible across --shards values
-  // (determinism ctests pin 1/2/4/8).  Clamped to the actor count.
-  std::size_t shards = 1;
-  // Virtual-time barrier window for the dynamic path: events inside
-  // [T, T + barrier_window] are processed in exact global order with
-  // cohort *training* deferred to the window's end, where all pending
-  // cohorts flush through one thread-pool pass.  Training tasks are
-  // order-independent — each trains from the global snapshot taken at its
-  // dispatch with an RNG forked from (dispatch seq, client id) — so any
-  // window (including 0, the flush-every-timestamp default) produces
-  // byte-identical results; the window only widens the batch of
-  // train-parallelism between barriers.
-  double barrier_window = 0.0;
-
   // --- durability ------------------------------------------------------------
   // Virtual seconds between full-run snapshots (fl::save_snapshot into
   // `checkpoint_path`); 0 disables checkpointing.  A snapshot captures the
@@ -147,8 +133,7 @@ struct AsyncConfig {
   std::string checkpoint_path;  // required when checkpoint_every > 0
   // Load this snapshot and continue the run it captured instead of
   // starting fresh.  The snapshot's config fingerprint, population and
-  // policy must match; the shard count and barrier window may differ
-  // (both are bit-invariant knobs).
+  // policy must match.
   std::string resume_path;
   // Append-only CRC-framed log of processed events (sim::EventLogWriter);
   // truncated to the snapshot's horizon on resume.  Empty = off.
@@ -276,6 +261,14 @@ class AsyncEngine {
   nn::Sequential& scratch_model(std::size_t slot);
   util::ThreadPool& pool();
   void validate() const;
+  // Trains `cohort` (selection order) from `global` at learning rate `lr`
+  // on the thread pool; each client's RNG forks from (seed, dispatch_seq,
+  // client id), so the updates are a pure function of the dispatch.
+  std::vector<LocalUpdate> train_cohort(std::span<const std::size_t> cohort,
+                                        std::span<const float> global,
+                                        double lr, std::uint64_t seed,
+                                        std::size_t dispatch_seq,
+                                        obs::PhaseTimer& phases);
 
   AsyncRunResult run_static(std::uint64_t seed, SelectionPolicy& policy);
   AsyncRunResult run_dynamic(std::uint64_t seed, SelectionPolicy& policy);

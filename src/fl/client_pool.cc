@@ -31,13 +31,6 @@ PoolMetrics& pool_metrics() {
   return m;
 }
 
-void raise_max(std::atomic<std::size_t>& slot, std::size_t v) {
-  std::size_t cur = slot.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 ClientPool::ClientPool(const std::vector<Client>* clients)
@@ -51,76 +44,18 @@ ClientPool::ClientPool(VirtualConfig config)
     : train_(config.train),
       shards_(std::move(config.shards)),
       profiles_(std::move(config.profiles)),
-      cache_capacity_(std::max<std::size_t>(1, config.cache_capacity)) {
+      cache_capacity_(std::max<std::size_t>(1, config.cache_capacity)),
+      cache_(std::make_unique<Cache>()) {
   if (train_ == nullptr) {
     throw std::invalid_argument("ClientPool: null training dataset");
   }
   if (profiles_.size() != shards_.num_clients()) {
     throw std::invalid_argument("ClientPool: profile/shard count mismatch");
   }
-  rebuild_segments(1);
 }
-
-ClientPool::ClientPool(ClientPool&& other) noexcept
-    : clients_(other.clients_),
-      train_(other.train_),
-      shards_(std::move(other.shards_)),
-      profiles_(std::move(other.profiles_)),
-      cache_capacity_(other.cache_capacity_),
-      segments_(std::move(other.segments_)),
-      total_live_(other.total_live_.load()),
-      peak_live_(other.peak_live_.load()),
-      materializations_(other.materializations_.load()) {}
-
-ClientPool& ClientPool::operator=(ClientPool&& other) noexcept {
-  if (this != &other) {
-    clients_ = other.clients_;
-    train_ = other.train_;
-    shards_ = std::move(other.shards_);
-    profiles_ = std::move(other.profiles_);
-    cache_capacity_ = other.cache_capacity_;
-    segments_ = std::move(other.segments_);
-    total_live_.store(other.total_live_.load());
-    peak_live_.store(other.peak_live_.load());
-    materializations_.store(other.materializations_.load());
-  }
-  return *this;
-}
-
-ClientPool::~ClientPool() = default;
 
 std::size_t ClientPool::size() const {
   return clients_ != nullptr ? clients_->size() : shards_.num_clients();
-}
-
-void ClientPool::rebuild_segments(std::size_t n) {
-  n = std::clamp<std::size_t>(n, 1, std::max<std::size_t>(1, size()));
-  segments_.clear();
-  segments_.reserve(n);
-  // Equal capacity shares, rounded up so n segments never hold fewer
-  // total entries than the single-cache capacity they replace.
-  const std::size_t share = (cache_capacity_ + n - 1) / n;
-  for (std::size_t s = 0; s < n; ++s) {
-    segments_.push_back(std::make_unique<Segment>());
-    segments_.back()->capacity = std::max<std::size_t>(1, share);
-  }
-}
-
-void ClientPool::set_cache_segments(std::size_t n) {
-  if (clients_ != nullptr) return;  // materialized backend: nothing to split
-  if (total_live_.load(std::memory_order_relaxed) != 0) {
-    throw std::logic_error(
-        "ClientPool: cannot re-segment while clients are materialized");
-  }
-  rebuild_segments(n);
-}
-
-std::size_t ClientPool::segment_of(std::size_t id) const {
-  const std::size_t n = segments_.size();
-  const std::size_t population = size();
-  if (n <= 1 || population == 0) return 0;
-  if (id >= population) return n - 1;
-  return id * n / population;
 }
 
 const sim::ResourceProfile& ClientPool::resource(std::size_t id) const {
@@ -144,28 +79,26 @@ ClientPool::Lease ClientPool::lease(std::size_t id) {
     throw std::out_of_range("ClientPool: client out of range");
   }
   PoolMetrics& metrics = pool_metrics();
-  Segment& segment = *segments_[segment_of(id)];
-  util::MutexLock lock(segment.mutex);
-  auto it = segment.cache.find(id);
-  if (it == segment.cache.end()) {
+  util::MutexLock lock(cache_->mutex);
+  auto it = cache_->entries.find(id);
+  if (it == cache_->entries.end()) {
     // Miss: generate the shard from its view.  Virtual clients carry no
     // matched test shard — per-tier eval sets are a materialized-path
     // feature; the async engine evaluates on the shared test set.
-    materializations_.fetch_add(1, std::memory_order_relaxed);
+    ++cache_->materializations;
     metrics.lease_misses.add();
     auto entry = std::make_unique<Entry>(
         Client(id, train_, shards_.shard(id).materialize(), {},
                profiles_[id]));
-    it = segment.cache.emplace(id, std::move(entry)).first;
-    const std::size_t live =
-        total_live_.fetch_add(1, std::memory_order_relaxed) + 1;
-    raise_max(peak_live_, live);
+    it = cache_->entries.emplace(id, std::move(entry)).first;
+    const std::size_t live = cache_->entries.size();
+    cache_->peak_live = std::max(cache_->peak_live, live);
     metrics.live.set(static_cast<double>(live));
     metrics.peak_live.set_max(static_cast<double>(live));
   } else {
     metrics.lease_hits.add();
     if (it->second->pins == 0) {
-      segment.lru.erase(it->second->lru);  // pinned entries leave the list
+      cache_->lru.erase(it->second->lru);  // pinned entries leave the list
     }
   }
   ++it->second->pins;
@@ -173,42 +106,43 @@ ClientPool::Lease ClientPool::lease(std::size_t id) {
 }
 
 void ClientPool::release(std::size_t id) {
-  Segment& segment = *segments_[segment_of(id)];
-  util::MutexLock lock(segment.mutex);
-  const auto it = segment.cache.find(id);
-  if (it == segment.cache.end() || it->second->pins == 0) return;
+  util::MutexLock lock(cache_->mutex);
+  const auto it = cache_->entries.find(id);
+  if (it == cache_->entries.end() || it->second->pins == 0) return;
   if (--it->second->pins == 0) {
-    segment.lru.push_front(id);
-    it->second->lru = segment.lru.begin();
-    evict_overflow_locked(segment);
+    cache_->lru.push_front(id);
+    it->second->lru = cache_->lru.begin();
+    evict_overflow_locked();
   }
 }
 
-void ClientPool::evict_overflow_locked(Segment& segment) {
+void ClientPool::evict_overflow_locked() {
   PoolMetrics& metrics = pool_metrics();
-  while (segment.cache.size() > segment.capacity && !segment.lru.empty()) {
-    const std::size_t victim = segment.lru.back();
-    segment.lru.pop_back();
-    segment.cache.erase(victim);
-    total_live_.fetch_sub(1, std::memory_order_relaxed);
+  while (cache_->entries.size() > cache_capacity_ && !cache_->lru.empty()) {
+    const std::size_t victim = cache_->lru.back();
+    cache_->lru.pop_back();
+    cache_->entries.erase(victim);
     metrics.evictions.add();
   }
-  metrics.live.set(
-      static_cast<double>(total_live_.load(std::memory_order_relaxed)));
+  metrics.live.set(static_cast<double>(cache_->entries.size()));
 }
 
 std::size_t ClientPool::live_clients() const {
   if (clients_ != nullptr) return clients_->size();
-  return total_live_.load(std::memory_order_relaxed);
+  util::MutexLock lock(cache_->mutex);
+  return cache_->entries.size();
 }
 
 std::size_t ClientPool::peak_live_clients() const {
   if (clients_ != nullptr) return clients_->size();
-  return peak_live_.load(std::memory_order_relaxed);
+  util::MutexLock lock(cache_->mutex);
+  return cache_->peak_live;
 }
 
 std::size_t ClientPool::materializations() const {
-  return materializations_.load(std::memory_order_relaxed);
+  if (clients_ != nullptr) return 0;
+  util::MutexLock lock(cache_->mutex);
+  return cache_->materializations;
 }
 
 ClientPool::Lease::Lease(Lease&& other) noexcept

@@ -10,22 +10,12 @@
 // --clients 1000000` run in bounded memory: the working set is the
 // in-flight cohort, not the federation.
 //
-// Sharded runtime: `set_cache_segments(n)` splits the virtual cache into
-// n contiguous id ranges, each with its own mutex, map and LRU — the
-// client-pool half of the worker-shard partitioning (the event-queue half
-// is sim::ShardedEventQueue).  Segmentation only changes which lock a
-// lease takes and which LRU it ages in: materialization is a pure
-// function of the id, so the Client bytes a lease yields are identical at
-// every segment count.  Only the pool.* cache counters (hits/misses/
-// evictions) may shift, which is why determinism comparisons filter them.
-//
 // Access pattern contract: leases are acquired and released on the
 // engine's event thread (dispatch is serial); worker threads only *read*
-// through leased const Client&.  The per-segment caches are mutex-guarded
-// anyway so concurrent leases stay safe.
+// through leased const Client&.  The cache is mutex-guarded anyway so
+// concurrent leases stay safe.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <list>
 #include <memory>
@@ -59,26 +49,13 @@ class ClientPool {
   };
   explicit ClientPool(VirtualConfig config);
 
-  ClientPool(ClientPool&&) noexcept;
-  ClientPool& operator=(ClientPool&&) noexcept;
+  ClientPool(ClientPool&&) noexcept = default;
+  ClientPool& operator=(ClientPool&&) noexcept = default;
   ClientPool(const ClientPool&) = delete;
   ClientPool& operator=(const ClientPool&) = delete;
-  ~ClientPool();
 
   std::size_t size() const;
   bool virtualized() const { return clients_ == nullptr; }
-
-  // Splits the virtual cache into `n` segments over contiguous id ranges
-  // (clamped to [1, size()]), each owning mutex + map + LRU and an equal
-  // share of the capacity.  One segment (the default) is byte-for-byte
-  // the legacy single-cache behavior.  Must be called while no client is
-  // materialized (throws otherwise — segment boundaries cannot move under
-  // live entries); no-op on the materialized backend.
-  void set_cache_segments(std::size_t n);
-  std::size_t cache_segments() const { return segments_.size(); }
-  // Segment owning `id`'s cache slot (contiguous ranges, same arithmetic
-  // as sim::ShardedEventQueue::shard_of).
-  std::size_t segment_of(std::size_t id) const;
 
   // O(1), no materialization: profiles and shard sizes are pool state,
   // not Client state — latency sampling over a million cold clients never
@@ -114,7 +91,6 @@ class ClientPool {
 
   // Cache accounting (bench/tests): currently materialized clients, the
   // high-water mark, and how many misses built a Client from its shard.
-  // Totals span every segment.
   std::size_t live_clients() const;
   std::size_t peak_live_clients() const;
   std::size_t materializations() const;
@@ -128,20 +104,19 @@ class ClientPool {
     Entry(Client c) : client(std::move(c)) {}
   };
 
-  // One cache segment: unique_ptr-held because the mutex pins it in
-  // place.  `capacity` is this segment's share of the pool capacity
-  // (set once at rebuild, read-only afterwards — not guarded).
-  struct Segment {
+  // The virtual cache: unique_ptr-held so the mutex stays pinned in place
+  // while the pool itself moves.
+  struct Cache {
     mutable util::Mutex mutex;
-    std::unordered_map<std::size_t, std::unique_ptr<Entry>> cache
+    std::unordered_map<std::size_t, std::unique_ptr<Entry>> entries
         GUARDED_BY(mutex);
     std::list<std::size_t> lru GUARDED_BY(mutex);  // unpinned, MRU first
-    std::size_t capacity = 0;
+    std::size_t peak_live GUARDED_BY(mutex) = 0;
+    std::size_t materializations GUARDED_BY(mutex) = 0;
   };
 
   void release(std::size_t id);
-  void evict_overflow_locked(Segment& segment) REQUIRES(segment.mutex);
-  void rebuild_segments(std::size_t n);
+  void evict_overflow_locked() REQUIRES(cache_->mutex);
 
   // Materialized backend (null for virtual).
   const std::vector<Client>* clients_ = nullptr;
@@ -151,12 +126,7 @@ class ClientPool {
   data::LazyShards shards_{1, 1, {}, 0};
   std::vector<sim::ResourceProfile> profiles_;
   std::size_t cache_capacity_ = 0;
-  std::vector<std::unique_ptr<Segment>> segments_;
-  // Pool-wide accounting, lock-free so segments never take each other's
-  // locks: live count, its high-water mark, and total materializations.
-  std::atomic<std::size_t> total_live_{0};
-  std::atomic<std::size_t> peak_live_{0};
-  std::atomic<std::size_t> materializations_{0};
+  std::unique_ptr<Cache> cache_;
 };
 
 }  // namespace tifl::fl

@@ -19,7 +19,7 @@
 #include "obs/trace.h"
 #include "obs/wall_time.h"
 #include "sim/fault_model.h"
-#include "sim/sharded_event_queue.h"
+#include "sim/event_queue.h"
 #include "util/log.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -92,85 +92,9 @@ HierMetrics& hier_metrics() {
   return m;
 }
 
-void put_records(util::ByteSink& sink,
-                 const std::vector<RoundRecord>& records) {
-  sink.put_u64(records.size());
-  for (const RoundRecord& r : records) {
-    sink.put_u64(r.round);
-    sink.put_f64(r.virtual_time);
-    sink.put_f64(r.round_latency);
-    sink.put_f64(r.global_accuracy);
-    sink.put_f64(r.global_loss);
-    sink.put_f64(r.train_loss);
-    sink.put_i64(r.selected_tier);
-    sink.put_size_vec(r.selected_clients);
-  }
-}
-
-std::vector<RoundRecord> get_records(util::ByteSource& source) {
-  const std::size_t count = source.checked_count(source.get_u64(), 8 * 7);
-  std::vector<RoundRecord> records;
-  records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    RoundRecord r;
-    r.round = static_cast<std::size_t>(source.get_u64());
-    r.virtual_time = source.get_f64();
-    r.round_latency = source.get_f64();
-    r.global_accuracy = source.get_f64();
-    r.global_loss = source.get_f64();
-    r.train_loss = source.get_f64();
-    r.selected_tier = static_cast<int>(source.get_i64());
-    r.selected_clients = source.get_size_vec();
-    records.push_back(std::move(r));
-  }
-  return records;
-}
-
-void put_queue(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
-  sink.put_f64(queue.now());
-  sink.put_u64(queue.next_seq());
-  const std::vector<sim::Event> events = queue.pending();
-  sink.put_u64(events.size());
-  for (const sim::Event& e : events) {
-    sink.put_f64(e.time);
-    sink.put_u64(e.seq);
-    sink.put_u64(e.kind);
-    sink.put_u64(e.actor);
-  }
-}
-
-void get_queue(util::ByteSource& source, sim::ShardedEventQueue& queue) {
-  const double now = source.get_f64();
-  const std::uint64_t next_seq = source.get_u64();
-  const std::size_t count = source.checked_count(source.get_u64(), 32);
-  std::vector<sim::Event> events(count);
-  for (sim::Event& e : events) {
-    e.time = source.get_f64();
-    e.seq = source.get_u64();
-    e.kind = source.get_u64();
-    e.actor = source.get_u64();
-  }
-  queue.restore(now, next_seq, events);
-}
-
-void put_metrics(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
-  obs::Registry merged;
-  merged.merge_from(obs::Registry::global());
-  queue.merge_metrics_into(merged);
-  util::ByteSink blob;
-  merged.save(blob);
-  sink.put_string(blob.bytes());
-}
-
-void get_metrics(util::ByteSource& source) {
-  const std::string blob = source.get_string();
-  util::ByteSource blob_source(blob);
-  obs::Registry::global().restore(blob_source);
-}
-
 // Every knob that shapes a hier run's deterministic trajectory, including
-// the full tree shape.  Shards are deliberately excluded (bit-invariant),
-// as is fault.crash_at (process fate, not trajectory).
+// the full tree shape.  fault.crash_at is deliberately excluded (process
+// fate, not trajectory).
 std::uint64_t hier_fingerprint(const EngineConfig& config,
                                const AsyncConfig& async,
                                const HierConfig& hier, std::uint64_t seed,
@@ -240,9 +164,6 @@ void TreeEngine::validate() const {
   }
   if (async_.eval_every == 0) {
     throw std::invalid_argument("TreeEngine: eval_every must be > 0");
-  }
-  if (async_.shards == 0) {
-    throw std::invalid_argument("TreeEngine: shards must be > 0");
   }
   hier_.topology.validate(clients_->size());
   if (hier_.topology.is_flat()) return;  // the delegate re-validates
@@ -409,7 +330,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     if (!node.is_root) node.link_rng = sim::link_stream(seed, n);
   }
 
-  sim::ShardedEventQueue queue(async_.shards, num_nodes);
+  sim::EventQueue queue;
   sim::FaultModel fault(async_.fault, seed);
   std::map<std::uint64_t, LinkPayload> in_flight;
 
@@ -625,7 +546,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
       sink.put_f64(payload.send_time);
       sink.put_f32_vec(payload.model);
     }
-    put_queue(sink, queue);
+    queue.save_state(sink);
     {
       util::ByteSink blob;
       fault.save_state(blob);
@@ -636,7 +557,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
       if (hooks_.save_state) hooks_.save_state(blob);
       sink.put_string(blob.bytes());
     }
-    put_metrics(sink, queue);
+    put_metrics(sink);
   };
 
   const bool resuming = !async_.resume_path.empty();
@@ -686,7 +607,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
       flight.model = source.get_f32_vec();
       in_flight.emplace(seq, std::move(flight));
     }
-    get_queue(source, queue);
+    queue.restore_state(source);
     {
       const std::string blob = source.get_string();
       util::ByteSource blob_source(blob);
@@ -975,7 +896,6 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     out.node_update_mass.push_back(node.update_mass);
   }
   out.result.phases = phases.stats();
-  queue.merge_metrics_into(obs::Registry::global());
   return out;
 }
 

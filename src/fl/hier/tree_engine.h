@@ -17,12 +17,12 @@
 //
 // Determinism oracle: a single-node topology delegates to fl::AsyncEngine
 // outright (collapse-to-flat, byte-for-byte by construction); multi-region
-// trees put all state mutation in event-pop order on a
-// sim::ShardedEventQueue, fork every RNG stream per (node, tier) or per
-// link, and reduce in selection/slot order — bit-reproducible across
-// --shards and thread-pool sizes.  Full-run snapshots (fl/snapshot)
-// serialize every node mid-tree, so --resume replays a killed run
-// exactly; `--rounds` counts *root* aggregations.
+// trees put all state mutation in event-pop order on one sim::EventQueue,
+// fork every RNG stream per (node, tier) or per link, and reduce in
+// selection/slot order — bit-reproducible across thread-pool sizes.
+// Full-run snapshots (fl/snapshot) serialize every node mid-tree, so
+// --resume replays a killed run exactly; `--rounds` counts *root*
+// aggregations.
 #pragma once
 
 #include <cstdint>

@@ -8,8 +8,9 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
-#include "util/serial.h"
+#include "obs/metrics.h"
 
 namespace tifl::fl {
 
@@ -130,6 +131,52 @@ std::string load_snapshot(const std::string& path) {
                              " (corrupt payload)");
   }
   return payload;
+}
+
+void put_records(util::ByteSink& sink,
+                 const std::vector<RoundRecord>& records) {
+  sink.put_u64(records.size());
+  for (const RoundRecord& r : records) {
+    sink.put_u64(r.round);
+    sink.put_f64(r.virtual_time);
+    sink.put_f64(r.round_latency);
+    sink.put_f64(r.global_accuracy);
+    sink.put_f64(r.global_loss);
+    sink.put_f64(r.train_loss);
+    sink.put_i64(r.selected_tier);
+    sink.put_size_vec(r.selected_clients);
+  }
+}
+
+std::vector<RoundRecord> get_records(util::ByteSource& source) {
+  const std::size_t count = source.checked_count(source.get_u64(), 8 * 7);
+  std::vector<RoundRecord> records;
+  records.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    RoundRecord r;
+    r.round = static_cast<std::size_t>(source.get_u64());
+    r.virtual_time = source.get_f64();
+    r.round_latency = source.get_f64();
+    r.global_accuracy = source.get_f64();
+    r.global_loss = source.get_f64();
+    r.train_loss = source.get_f64();
+    r.selected_tier = static_cast<int>(source.get_i64());
+    r.selected_clients = source.get_size_vec();
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+void put_metrics(util::ByteSink& sink) {
+  util::ByteSink blob;
+  obs::Registry::global().save(blob);
+  sink.put_string(blob.bytes());
+}
+
+void get_metrics(util::ByteSource& source) {
+  const std::string blob = source.get_string();
+  util::ByteSource blob_source(blob);
+  obs::Registry::global().restore(blob_source);
 }
 
 }  // namespace tifl::fl

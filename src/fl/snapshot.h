@@ -25,12 +25,18 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "fl/metrics.h"
+#include "util/serial.h"
 
 namespace tifl::fl {
 
 inline constexpr char kSnapshotMagic[8] = {'T', 'I', 'F', 'L',
                                            'S', 'N', 'P', '1'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+// Bumped whenever an engine's payload layout changes: a file written
+// under another version is rejected on load, never misread.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 // Atomically replaces `path` with a snapshot wrapping `payload`; returns
 // the total bytes written (header + payload).  Throws std::runtime_error
@@ -41,5 +47,17 @@ std::size_t save_snapshot(const std::string& path, std::string_view payload);
 // Throws std::runtime_error on missing file, foreign magic, unsupported
 // version, a size header inconsistent with the file, or a CRC mismatch.
 std::string load_snapshot(const std::string& path);
+
+// --- payload pieces shared by every engine's snapshot ------------------------
+// The per-version round series.
+void put_records(util::ByteSink& sink, const std::vector<RoundRecord>& records);
+std::vector<RoundRecord> get_records(util::ByteSource& source);
+
+// The process-global metrics registry, as one length-prefixed blob.
+// get_metrics adds the saved values back into the global registry (see
+// obs::Registry::restore), so a resumed run's end-of-run totals equal the
+// uninterrupted run's for every deterministic instrument.
+void put_metrics(util::ByteSink& sink);
+void get_metrics(util::ByteSource& source);
 
 }  // namespace tifl::fl

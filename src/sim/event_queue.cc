@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/wall_time.h"
@@ -168,18 +169,34 @@ void EventQueue::reset() {
   now_ = 0.0;
 }
 
-std::vector<Event> EventQueue::pending() const {
-  std::vector<Event> out = heap_;
-  std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  });
-  return out;
+void EventQueue::save_state(util::ByteSink& sink) const {
+  std::vector<Event> events = heap_;
+  // Ascending (time, seq): the pop order, independent of heap layout.
+  std::sort(events.begin(), events.end(),
+            [](const Event& a, const Event& b) { return after(b, a); });
+  sink.put_f64(now_);
+  sink.put_u64(next_seq_);
+  sink.put_u64(events.size());
+  for (const Event& e : events) {
+    sink.put_f64(e.time);
+    sink.put_u64(e.seq);
+    sink.put_u64(e.kind);
+    sink.put_u64(e.actor);
+  }
 }
 
-void EventQueue::restore(double now, std::uint64_t next_seq,
-                         std::span<const Event> events) {
-  heap_.assign(events.begin(), events.end());
+void EventQueue::restore_state(util::ByteSource& source) {
+  const double now = source.get_f64();
+  const std::uint64_t next_seq = source.get_u64();
+  const std::size_t count = source.checked_count(source.get_u64(), 32);
+  std::vector<Event> events(count);
+  for (Event& e : events) {
+    e.time = source.get_f64();
+    e.seq = source.get_u64();
+    e.kind = source.get_u64();
+    e.actor = source.get_u64();
+  }
+  heap_ = std::move(events);
   std::make_heap(heap_.begin(), heap_.end(), after);
   now_ = now;
   next_seq_ = next_seq;

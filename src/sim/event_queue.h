@@ -16,6 +16,8 @@
 #include <span>
 #include <vector>
 
+#include "util/serial.h"
+
 namespace tifl::sim {
 
 // Well-known values for Event::kind.  The queue itself stays agnostic —
@@ -105,17 +107,14 @@ class EventQueue {
   void reset();
 
   // --- checkpoint/resume surface --------------------------------------------
-  // Next seq schedule() would assign; with pending() this captures the
-  // queue's full deterministic state.
-  std::uint64_t next_seq() const noexcept { return next_seq_; }
-  // All pending events in (time, seq) pop order, non-destructively.
-  std::vector<Event> pending() const;
-  // Replaces the queue's state wholesale (clock, seq counter, pending
-  // set) — the restore half of a snapshot.  Deliberately records nothing
-  // into the metrics registry: the checkpoint already carries the counts
+  // Serializes the queue's full deterministic state: clock, seq counter
+  // and every pending event in (time, seq) pop order.
+  void save_state(util::ByteSink& sink) const;
+  // Replaces the queue's state wholesale with one save_state() wrote — the
+  // restore half of a snapshot.  Deliberately records nothing into the
+  // metrics registry: the checkpoint already carries the counts
   // accumulated when these events were first scheduled.
-  void restore(double now, std::uint64_t next_seq,
-               std::span<const Event> events);
+  void restore_state(util::ByteSource& source);
 
  private:
   std::vector<Event> heap_;  // binary min-heap ordered by (time, seq)

@@ -16,7 +16,7 @@
 //     `max_retries` attempts, then dropped permanently (the timeout case).
 //
 // The loss stream draws exactly one Bernoulli per delivery attempt, in
-// queue pop order — shard-count invariant because pop order is.
+// queue pop order, so the loss pattern is a pure function of the seed.
 #pragma once
 
 #include <cstdint>

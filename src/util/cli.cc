@@ -38,6 +38,13 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
+std::vector<std::string> Cli::keys() const {
+  std::vector<std::string> out;
+  out.reserve(options_.size());
+  for (const auto& [key, value] : options_) out.push_back(key);
+  return out;
+}
+
 bool Cli::has(const std::string& key) const {
   return options_.count(key) != 0;
 }

@@ -1,6 +1,7 @@
 // Tiny command-line parser for the bench binaries and examples.
-// Supports `--flag`, `--key value` and `--key=value`; unknown arguments
-// are collected as positionals.  No external dependencies on purpose.
+// Supports `--flag`, `--key value` and `--key=value`; arguments that are
+// not options are collected as positionals.  keys() lets a tool reject
+// flags it does not read.  No external dependencies on purpose.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,8 @@ class Cli {
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 
+  // Every parsed option name (without the leading `--`), sorted.
+  std::vector<std::string> keys() const;
   const std::vector<std::string>& positionals() const { return positionals_; }
   const std::string& program() const { return program_; }
 

@@ -1,6 +1,6 @@
 // Ordered set of ids drawn from a fixed universe [0, universe), stored as
 // fixed-span blocks of sorted vectors — the order-statistics container
-// behind the sharded runtime's million-client bookkeeping.
+// behind the async engine's million-client membership bookkeeping.
 //
 // A flat sorted std::vector gives O(n) memmove per insert/erase: at 1M
 // clients every churn event shuffles ~8MB, which is exactly the per-event

@@ -319,44 +319,34 @@ TEST(AsyncDeterminism, DynamicPathTraceIsByteIdenticalAcrossPoolSizes) {
   expect_trace_pool_size_invariance(async);
 }
 
-// --- worker-shard determinism -------------------------------------------------
+// --- trace + metrics across pool sizes ---------------------------------------
 //
-// Tentpole contract of the sharded runtime: partitioning the event queue
-// (sim::ShardedEventQueue) and the virtual client cache across worker
-// shards may never change results.  Final weights, the per-version round
-// series, the JSONL trace stream and the filtered metrics snapshot must
-// be byte-identical across shard counts 1/2/4/8 — at every thread-pool
-// size, on both run paths, with and without a barrier window.
+// The full determinism contract in one sweep: final weights, the
+// per-version round series, the JSONL trace stream and the metrics
+// snapshot must be byte-identical across thread pools 1/2/8 — on the
+// static path and on the churned virtual-pool path.
 
-// Metrics snapshot with the legitimately shard-variant instruments
-// dropped: `*_ns` histograms record wall time, `pool.*` counters depend
-// on cache/LRU segment locality, and sim.schedule_horizon's double-
-// valued sum reassociates when per-shard partials merge (its integer
-// count still has to match, via sim.events_scheduled).  Everything else
-// — event counts, dispatch/round/churn counters, staleness histograms —
-// must match byte for byte.
+// Metrics snapshot without the wall-clock `*_ns` instruments, the only
+// legitimately host-dependent ones.  Everything else — event counts,
+// dispatch/round/churn counters, staleness and horizon histograms, the
+// pool.* cache counters — must match byte for byte.
 std::string filtered_metrics_snapshot() {
-  return obs::Registry::global().to_json([](std::string_view name) {
-    return !name.ends_with("_ns") && name.substr(0, 5) != "pool." &&
-           name != "sim.schedule_horizon";
-  });
+  return obs::Registry::global().to_json(
+      [](std::string_view name) { return !name.ends_with("_ns"); });
 }
 
-struct ShardRunOutput {
+struct RunOutput {
   AsyncRunResult result;
   std::string trace;
   std::string metrics;
 };
 
-// One run at a given (shards, threads, window) with the global registry
-// reset around it, so the snapshot covers exactly this run.
-ShardRunOutput run_sharded(AsyncConfig async, std::size_t shards,
-                           std::size_t threads, double window,
-                           bool virtual_pool) {
-  async.shards = shards;
-  async.barrier_window = window;
+// One run at a given pool size with the global registry reset around it,
+// so the snapshot covers exactly this run.
+RunOutput run_observed(const AsyncConfig& async, std::size_t threads,
+                       bool virtual_pool) {
   obs::Registry::global().reset();
-  ShardRunOutput out;
+  RunOutput out;
   std::ostringstream trace_out;
   {
     obs::Tracer tracer(&trace_out);
@@ -371,46 +361,38 @@ ShardRunOutput run_sharded(AsyncConfig async, std::size_t shards,
   return out;
 }
 
-void expect_shard_count_invariance(const AsyncConfig& async, double window,
-                                   bool virtual_pool) {
-  const ShardRunOutput base =
-      run_sharded(async, 1, /*threads=*/1, window, virtual_pool);
+void expect_observed_pool_size_invariance(const AsyncConfig& async,
+                                          bool virtual_pool) {
+  const RunOutput base = run_observed(async, /*threads=*/1, virtual_pool);
   EXPECT_FALSE(base.trace.empty());
-  for (std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    for (std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      const ShardRunOutput run =
-          run_sharded(async, shards, threads, window, virtual_pool);
-      EXPECT_EQ(base.result.final_weights, run.result.final_weights)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(base.result.processed_events, run.result.processed_events);
-      ASSERT_EQ(base.result.result.rounds.size(),
-                run.result.result.rounds.size());
-      for (std::size_t i = 0; i < base.result.result.rounds.size(); ++i) {
-        EXPECT_EQ(base.result.result.rounds[i].selected_clients,
-                  run.result.result.rounds[i].selected_clients);
-        EXPECT_DOUBLE_EQ(base.result.result.rounds[i].virtual_time,
-                         run.result.result.rounds[i].virtual_time);
-      }
-      EXPECT_EQ(base.trace, run.trace)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(base.metrics, run.metrics)
-          << "shards=" << shards << " threads=" << threads;
+  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    const RunOutput run = run_observed(async, threads, virtual_pool);
+    EXPECT_EQ(base.result.final_weights, run.result.final_weights)
+        << "threads=" << threads;
+    EXPECT_EQ(base.result.processed_events, run.result.processed_events);
+    ASSERT_EQ(base.result.result.rounds.size(),
+              run.result.result.rounds.size());
+    for (std::size_t i = 0; i < base.result.result.rounds.size(); ++i) {
+      EXPECT_EQ(base.result.result.rounds[i].selected_clients,
+                run.result.result.rounds[i].selected_clients);
+      EXPECT_DOUBLE_EQ(base.result.result.rounds[i].virtual_time,
+                       run.result.result.rounds[i].virtual_time);
     }
+    EXPECT_EQ(base.trace, run.trace) << "threads=" << threads;
+    EXPECT_EQ(base.metrics, run.metrics) << "threads=" << threads;
   }
 }
 
-TEST(AsyncDeterminism, StaticPathIsShardCountInvariant) {
+TEST(AsyncDeterminism, StaticPathTraceAndMetricsArePoolSizeInvariant) {
   AsyncConfig async;
   async.total_updates = 16;
   async.clients_per_tier_round = 4;
   async.eval_every = 4;
   async.staleness = StalenessFn::kInverseFrequency;
-  expect_shard_count_invariance(async, /*window=*/0.0,
-                                /*virtual_pool=*/false);
+  expect_observed_pool_size_invariance(async, /*virtual_pool=*/false);
 }
 
-TEST(AsyncDeterminism, ChurnedVirtualPathIsShardCountInvariant) {
+TEST(AsyncDeterminism, ChurnedVirtualPathTraceAndMetricsArePoolSizeInvariant) {
   AsyncConfig async;
   async.total_updates = 20;
   async.clients_per_tier_round = 4;
@@ -419,45 +401,7 @@ TEST(AsyncDeterminism, ChurnedVirtualPathIsShardCountInvariant) {
   async.churn.join_rate = 0.05;
   async.churn.leave_rate = 0.05;
   async.churn.slowdown_rate = 0.1;
-  expect_shard_count_invariance(async, /*window=*/0.0, /*virtual_pool=*/true);
-}
-
-TEST(AsyncDeterminism, BarrierWindowReplaysWindowZeroByteForByte) {
-  // Deferred cohort training: any barrier window must replay the window-0
-  // run exactly — training tasks read only their dispatch-time snapshot
-  // with RNGs forked from (dispatch seq, client id), so the flush point
-  // cannot matter.  Cross-checked over shard counts and a churned run.
-  AsyncConfig async;
-  async.total_updates = 20;
-  async.clients_per_tier_round = 4;
-  async.eval_every = 4;
-  async.staleness = StalenessFn::kPolynomial;
-  async.churn.join_rate = 0.05;
-  async.churn.leave_rate = 0.05;
-  async.churn.slowdown_rate = 0.1;
-  const ShardRunOutput base =
-      run_sharded(async, 1, /*threads=*/2, /*window=*/0.0,
-                  /*virtual_pool=*/false);
-  for (double window : {0.05, 0.5, 5.0}) {
-    for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      const ShardRunOutput run = run_sharded(async, shards, /*threads=*/2,
-                                             window, /*virtual_pool=*/false);
-      EXPECT_EQ(base.result.final_weights, run.result.final_weights)
-          << "window=" << window << " shards=" << shards;
-      EXPECT_EQ(base.trace, run.trace)
-          << "window=" << window << " shards=" << shards;
-    }
-  }
-  // The dynamic-path default config above with a wide window really does
-  // defer: at least one barrier flushed more than one task.
-  obs::Registry::global().reset();
-  AsyncConfig wide = async;
-  wide.shards = 2;
-  wide.barrier_window = 5.0;
-  run_with_pool_size(wide, 2, tiny_factory());
-  const std::string snapshot = obs::Registry::global().to_json();
-  EXPECT_NE(snapshot.find("async.barriers"), std::string::npos);
-  EXPECT_NE(snapshot.find("async.barrier_tasks"), std::string::npos);
+  expect_observed_pool_size_invariance(async, /*virtual_pool=*/true);
 }
 
 }  // namespace

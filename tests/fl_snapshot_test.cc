@@ -19,7 +19,6 @@
 #include "sim/churn_model.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
-#include "sim/sharded_event_queue.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 #include "util/serial.h"
@@ -112,6 +111,28 @@ TEST(FlSnapshot, TrailingGarbageIsRejected) {
 
 // --- substate round trips -----------------------------------------------------
 
+TEST(FlSnapshot, OlderFormatVersionIsRejected) {
+  // A well-formed version-1 file (valid magic, size and CRC) is refused
+  // on its version alone: the version-2 payload layouts differ.
+  const std::string payload = golden_payload();
+  util::ByteSink file;
+  file.put_bytes(fl::kSnapshotMagic, sizeof(fl::kSnapshotMagic));
+  file.put_u32(1);
+  file.put_u64(payload.size());
+  file.put_u32(util::crc32(payload));
+  file.put_bytes(payload.data(), payload.size());
+  const std::string path = ::testing::TempDir() + "/version1.snap";
+  spit(path, file.bytes());
+  try {
+    fl::load_snapshot(path);
+    FAIL() << "version-1 snapshot was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported version 1"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(FlSnapshot, RngStreamRoundTripsThroughStateWords) {
   util::Rng rng(util::mix_seed(42, 7));
   for (int i = 0; i < 100; ++i) rng.next();  // advance mid-stream
@@ -134,14 +155,15 @@ TEST(FlSnapshot, EventQueueHorizonRoundTrips) {
   std::vector<sim::Event> drained;
   queue.pop_batch(drained);  // advance the clock mid-run
 
-  const double now = queue.now();
-  const std::uint64_t next_seq = queue.next_seq();
-  const std::vector<sim::Event> pending = queue.pending();
-
+  util::ByteSink sink;
+  queue.save_state(sink);
+  util::ByteSource source(sink.bytes());
   sim::EventQueue restored;
-  restored.restore(now, next_seq, pending);
-  EXPECT_EQ(restored.now(), now);
+  restored.restore_state(source);
+  EXPECT_EQ(restored.now(), queue.now());
   EXPECT_EQ(restored.size(), queue.size());
+  // The seq counter round-trips too: the next schedule gets the same seq.
+  EXPECT_EQ(restored.schedule(1.0, 0, 0), queue.schedule(1.0, 0, 0));
   while (!queue.empty()) {
     ASSERT_FALSE(restored.empty());
     const sim::Event a = queue.pop();
@@ -152,42 +174,6 @@ TEST(FlSnapshot, EventQueueHorizonRoundTrips) {
     EXPECT_EQ(a.actor, b.actor);
   }
   EXPECT_TRUE(restored.empty());
-}
-
-TEST(FlSnapshot, ShardedQueueRestoresAcrossShardCounts) {
-  // A horizon captured from a 2-shard queue must replay identically when
-  // restored into 1-, 4- and 8-shard queues: the shard partitioning is a
-  // performance choice, never part of the durable state.
-  sim::ShardedEventQueue source_queue(2, 64);
-  util::Rng rng(5);
-  for (int i = 0; i < 300; ++i) {
-    source_queue.schedule(rng.uniform() * 20.0, /*kind=*/1,
-                          /*actor=*/static_cast<std::uint64_t>(
-                              rng.next() % 64));
-  }
-  std::vector<sim::Event> drained;
-  source_queue.pop_batch(drained);
-
-  const double now = source_queue.now();
-  const std::uint64_t next_seq = source_queue.next_seq();
-  const std::vector<sim::Event> pending = source_queue.pending();
-
-  std::vector<sim::Event> reference;
-  {
-    sim::ShardedEventQueue replay(2, 64);
-    replay.restore(now, next_seq, pending);
-    while (!replay.empty()) reference.push_back(replay.pop());
-  }
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-    sim::ShardedEventQueue replay(shards, 64);
-    replay.restore(now, next_seq, pending);
-    std::vector<sim::Event> events;
-    while (!replay.empty()) events.push_back(replay.pop());
-    ASSERT_EQ(events.size(), reference.size()) << "shards=" << shards;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      EXPECT_EQ(events[i].seq, reference[i].seq) << "shards=" << shards;
-    }
-  }
 }
 
 TEST(FlSnapshot, ChurnModelStreamRoundTrips) {

@@ -176,84 +176,6 @@ TEST(Registry, ConcurrentUpdatesUnderThreadPool) {
   EXPECT_DOUBLE_EQ(sum.value(), static_cast<double>(kIters));
 }
 
-TEST(Histo, MergeFromMatchesRecordingBothMultisets) {
-  Histo direct;
-  Histo left;
-  Histo right;
-  for (int i = 1; i <= 200; ++i) {
-    const double v = static_cast<double>(i) * 0.5;
-    direct.record(v);
-    (i % 2 == 0 ? left : right).record(v);
-  }
-  left.merge_from(right);
-  EXPECT_EQ(left.count(), direct.count());
-  EXPECT_DOUBLE_EQ(left.min(), direct.min());
-  EXPECT_DOUBLE_EQ(left.max(), direct.max());
-  EXPECT_DOUBLE_EQ(left.sum(), direct.sum());
-  const auto a = left.buckets();
-  const auto b = direct.buckets();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].lo, b[i].lo);
-    EXPECT_EQ(a[i].n, b[i].n);
-  }
-  // Merging an empty histogram is a no-op, even into an empty target.
-  Histo empty;
-  left.merge_from(empty);
-  EXPECT_EQ(left.count(), direct.count());
-  Histo target;
-  target.merge_from(empty);
-  EXPECT_EQ(target.count(), 0u);
-  EXPECT_TRUE(std::isinf(target.min()));
-}
-
-TEST(Registry, MergeFromSumsCountersAndHistosMaxesGauges) {
-  Registry a;
-  Registry b;
-  a.counter("events").add(3);
-  b.counter("events").add(4);
-  b.counter("only_b").add(9);
-  a.gauge("depth").set(5.0);
-  b.gauge("depth").set(2.0);
-  a.histogram("lat").record(1.0);
-  b.histogram("lat").record(10.0);
-  a.merge_from(b);
-  EXPECT_EQ(a.counter("events").value(), 7u);
-  EXPECT_EQ(a.counter("only_b").value(), 9u);
-  EXPECT_DOUBLE_EQ(a.gauge("depth").value(), 5.0);  // high-water, not sum
-  EXPECT_EQ(a.histogram("lat").count(), 2u);
-  EXPECT_DOUBLE_EQ(a.histogram("lat").min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.histogram("lat").max(), 10.0);
-  // `b` is untouched, and self-merge is a no-op.
-  EXPECT_EQ(b.counter("events").value(), 4u);
-  a.merge_from(a);
-  EXPECT_EQ(a.counter("events").value(), 7u);
-}
-
-TEST(Registry, ShardSplitMergeIsShardCountInvariant) {
-  // The per-shard metrics guarantee: recording one workload split across
-  // any number of shard registries and merging in shard order yields
-  // byte-identical snapshots.  This is what keeps merged engine metrics
-  // independent of --shards.
-  const auto run = [](std::size_t shards) {
-    std::vector<Registry> views(shards);
-    for (std::size_t i = 0; i < 1000; ++i) {
-      Registry& view = views[i % shards];
-      view.counter("sim.events_scheduled").add();
-      view.gauge("sim.queue_depth_max").set_max(static_cast<double>(i % 37));
-      view.histogram("sim.schedule_horizon")
-          .record(static_cast<double>(i % 13) * 0.25);
-    }
-    Registry merged;
-    for (const Registry& view : views) merged.merge_from(view);
-    return merged.to_json();
-  };
-  const std::string golden = run(1);
-  EXPECT_EQ(run(2), golden);
-  EXPECT_EQ(run(4), golden);
-  EXPECT_EQ(run(8), golden);
-}
-
 TEST(Registry, FilteredToJsonDropsRejectedNames) {
   Registry r;
   r.counter("sim.events_popped").add(5);

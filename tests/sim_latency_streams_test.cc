@@ -1,7 +1,7 @@
 // Link-delay streams for the aggregator tree (fl/hier): every parent↔child
 // edge owns one mix_seed-derived RNG stream, so sampling delays on one
 // link can never perturb another link's sequence — the property the tree
-// engine's bit-reproducibility across shard counts rests on.
+// engine's bit-reproducibility rests on.
 #include <cstdint>
 #include <vector>
 
@@ -91,7 +91,7 @@ TEST(LinkStreams, DistinctLinksAreDistinctStreams) {
 // The oracle property: link 2's delay sequence is identical whether link 1
 // samples zero, one or many deliveries in between.  With per-link streams
 // this holds by construction; a shared stream would interleave and break
-// it — which is exactly how shard-count bit-reproducibility would die.
+// it — which is exactly how bit-reproducibility would die.
 TEST(LinkStreams, SamplingOneLinkNeverPerturbsAnother) {
   const LatencyModel m = model();
   LinkProfile link;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/log.h"
@@ -85,6 +87,13 @@ TEST(Cli, ParsesFlagsKeyValueAndEquals) {
   ASSERT_EQ(cli.positionals().size(), 1u);
   EXPECT_EQ(cli.positionals()[0], "positional");
   EXPECT_EQ(cli.program(), "prog");
+}
+
+TEST(Cli, KeysListsEveryParsedOption) {
+  const char* argv[] = {"prog", "--rounds", "5", "--chrun=0.5", "--full",
+                        "positional"};
+  Cli cli(6, argv);
+  EXPECT_EQ(cli.keys(), (std::vector<std::string>{"chrun", "full", "rounds"}));
 }
 
 TEST(Cli, FallbacksWhenMissing) {

@@ -29,14 +29,6 @@
 //                           restarting the run (async only)          [0]
 //   --churn-seed S          pin the churn stream independently of
 //                           --seed (0 = derive from the run seed)    [0]
-//   --shards N              worker shards for the event queue and the
-//                           virtual client cache (async only): each
-//                           shard owns a contiguous client range and
-//                           its own event heap/LRU.  Results are
-//                           bit-identical at every shard count.      [1]
-//   --barrier-window SECS   virtual-time barrier window for deferred
-//                           cohort training on the dynamic path; any
-//                           window replays window 0 byte for byte    [0]
 //   --virtual               virtualize the client population: lazy IID
 //                           shards + on-demand client materialization
 //                           (fl::ClientPool), so --clients 1000000 runs
@@ -62,7 +54,7 @@
 //   --resume FILE           resume a run from a snapshot; the completed
 //                           run is byte-identical to the uninterrupted
 //                           one (same final model hash, same trace
-//                           suffix) at every --shards count
+//                           suffix)
 //   --event-log FILE        append-only CRC-framed record of every
 //                           processed event (torn tails tolerated; on
 //                           resume the log is truncated back to the
@@ -93,6 +85,10 @@
 //   --region-outage-duration SECS  outage window length             [500]
 //   --region-outage-horizon SECS   outage sampling horizon          [5000]
 //
+// An unrecognised flag (or a stray positional argument) is an error that
+// names it, with exit status 1: a typo like `--chrun 0.5` must never
+// silently run a different experiment.
+//
 // All output locations (--csv, --metrics-out, --trace-out, --checkpoint,
 // --event-log) are checked for writability up front: an unwritable
 // directory fails fast with a clear message before any data loads.
@@ -111,13 +107,16 @@
 // the static async engine bit for bit.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "core/policy_registry.h"
 #include "fl/hier/topology.h"
@@ -157,7 +156,7 @@ void print_usage() {
       "  --staleness  constant | poly | invfreq (async)    [constant]\n"
       "  --alpha F    --churn RATE  --reprofile-every SECS\n"
       "  --churn-seed S  --virtual  --samples-per-client N\n"
-      "  --shard-spread F   --shards N [1]   --barrier-window SECS [0]\n"
+      "  --shard-spread F\n"
       "  --log-level  debug | info | warn | error          [warn]\n"
       "  --metrics-out FILE   metrics registry snapshot (JSON)\n"
       "  --trace-out FILE     structured event trace (JSONL)\n"
@@ -210,6 +209,39 @@ void require_writable(const std::string& flag, const std::string& path) {
       ::access(path.c_str(), W_OK) != 0) {
     throw std::runtime_error("--" + flag + " " + path +
                              ": file exists and is not writable");
+  }
+}
+
+// Every flag tifl_run reads; BenchOptions::kFlags covers the ones
+// BenchOptions::from_cli reads on top.
+constexpr std::string_view kRunFlags[] = {
+    "affinity", "alpha", "checkpoint", "checkpoint-every", "churn",
+    "churn-seed", "classes", "clients", "csv", "dataset", "engine", "event-log",
+    "fault-backoff", "fault-crash-at", "fault-loss", "fault-retries",
+    "fault-seed", "help", "log-level", "metrics-out", "partition", "per-round",
+    "policy", "region-outage-duration", "region-outage-horizon",
+    "region-outage-rate", "region-tiers", "regions", "report",
+    "reprofile-every", "resume", "rounds", "samples-per-client", "scale",
+    "seed", "shard-spread", "staleness", "tiers", "time-budget", "topology",
+    "trace-out", "virtual",
+};
+
+void reject_unknown_flags(const util::Cli& cli) {
+  const auto known = [](std::string_view flag) {
+    return std::ranges::find(kRunFlags, flag) != std::end(kRunFlags) ||
+           std::ranges::find(BenchOptions::kFlags, flag) !=
+               BenchOptions::kFlags.end();
+  };
+  for (const std::string& flag : cli.keys()) {
+    if (!known(flag)) {
+      throw std::invalid_argument("unknown flag --" + flag +
+                                  " (see tifl_run --help)");
+    }
+  }
+  if (!cli.positionals().empty()) {
+    throw std::invalid_argument("unexpected argument '" +
+                                cli.positionals().front() +
+                                "' (see tifl_run --help)");
   }
 }
 
@@ -288,9 +320,10 @@ int main(int argc, char** argv) {
     print_usage();
     return 0;
   }
-  BenchOptions options = BenchOptions::from_cli(argc, argv);
 
   try {
+    reject_unknown_flags(cli);
+    BenchOptions options = BenchOptions::from_cli(argc, argv);
     const std::string level_name = cli.get("log-level", "warn");
     const std::optional<util::LogLevel> level =
         util::parse_log_level(level_name);
@@ -396,9 +429,6 @@ int main(int argc, char** argv) {
       async.churn.seed =
           static_cast<std::uint64_t>(cli.get_int("churn-seed", 0));
       async.reprofile_every = cli.get_double("reprofile-every", 0.0);
-      async.shards =
-          static_cast<std::size_t>(cli.get_int("shards", 1));
-      async.barrier_window = cli.get_double("barrier-window", 0.0);
       async.checkpoint_every = cli.get_double("checkpoint-every", 0.0);
       async.checkpoint_path = cli.get("checkpoint", "");
       async.resume_path = cli.get("resume", "");
