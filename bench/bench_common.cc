@@ -1,10 +1,27 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <iostream>
+#include <sstream>
+#include <thread>
 
+#include "tensor/gemm.h"
 #include "util/log.h"
 #include "util/table.h"
+
+// Build facts the root CMakeLists passes in; other builds of this file say
+// "unknown" rather than guess.
+#ifndef TIFL_BUILD_TYPE
+#define TIFL_BUILD_TYPE "unknown"
+#endif
+#ifndef TIFL_BUILD_FLAGS
+#define TIFL_BUILD_FLAGS "unknown"
+#endif
+#ifndef TIFL_SOURCE_DIR
+#define TIFL_SOURCE_DIR "."
+#endif
 
 namespace tifl::bench {
 
@@ -416,6 +433,70 @@ util::TablePrinter async_cadence_table(const fl::AsyncRunResult& run) {
                    util::format_double(run.final_tier_weights[t], 3)});
   }
   return table;
+}
+
+namespace {
+
+std::string json_string(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
+// The checkout's revision at run time, "-dirty" when it has local edits.
+std::string git_rev() {
+  const std::string command = std::string("git -C \"") + TIFL_SOURCE_DIR +
+                              "\" describe --always --dirty --abbrev=12 "
+                              "2>/dev/null";
+  std::string rev;
+  if (FILE* pipe = popen(command.c_str(), "r")) {
+    char buffer[128];
+    while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) rev += buffer;
+    pclose(pipe);
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == ' ')) {
+    rev.pop_back();
+  }
+  return rev.empty() ? "unknown" : rev;
+}
+
+}  // namespace
+
+std::string build_header_json() {
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("g++ ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::ostringstream out;
+  out << "{\"compiler\": " << json_string(compiler)
+      << ", \"build_type\": " << json_string(TIFL_BUILD_TYPE)
+      << ", \"flags\": " << json_string(TIFL_BUILD_FLAGS)
+      << ", \"cpu\": " << json_string(cpu_model())
+      << ", \"gemm_isa\": "
+      << json_string(tensor::detail::active_microkernel().isa)
+      << ", \"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"git_rev\": " << json_string(git_rev()) << "}";
+  return out.str();
 }
 
 }  // namespace tifl::bench

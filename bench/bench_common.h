@@ -171,4 +171,11 @@ void print_tiering(const core::TiflSystem& system);
 // cross-tier weight.  Shared by tifl_run and the async benches.
 util::TablePrinter async_cadence_table(const fl::AsyncRunResult& run);
 
+// The build and host a BENCH_*.json record was measured on, as one JSON
+// object: compiler and version, build type and flags, CPU model, the GEMM
+// microkernel ISA picked at run time, hardware threads and git revision.
+// Numbers from two builds of the same source can differ many times over,
+// so every record carries this.
+std::string build_header_json();
+
 }  // namespace tifl::bench

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "nn/activations.h"
 #include "obs/metrics.h"
 #include "nn/layer.h"
@@ -407,7 +408,8 @@ int main(int argc, char** argv) {
       step.speedup);
 
   std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"gemm\",\n  \"smoke\": " << (smoke ? "true" : "false")
+  json << "{\n  \"bench\": \"gemm\",\n  \"build\": " << build_header_json()
+       << ",\n  \"smoke\": " << (smoke ? "true" : "false")
        << ",\n  \"gemm\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ShapeResult& r = results[i];

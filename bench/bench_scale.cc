@@ -260,7 +260,8 @@ int main(int argc, char** argv) {
          << ",\n     \"metrics\": " << r.metrics << "}";
   };
   std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"scale\",\n  \"smoke\": "
+  json << "{\n  \"bench\": \"scale\",\n  \"build\": " << build_header_json()
+       << ",\n  \"smoke\": "
        << (smoke ? "true" : "false") << ",\n  \"updates\": " << updates
        << ",\n  \"scales\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {

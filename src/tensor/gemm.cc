@@ -1,6 +1,7 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -42,136 +43,98 @@ inline float apply_epilogue(float v, std::int64_t gi, std::int64_t gj,
 // are read with unit stride.  The K loop is a single sequential reduction
 // per output element, so the tile's values do not depend on how M/N were
 // partitioned — the property the pool-size determinism contract rests on.
+//
+// One body, compiled three times with vectors of the target's register
+// width: baseline (SSE2 on x86-64), AVX2 and AVX-512F.  Contraction is off
+// here whatever the build flags say, so no variant can fuse a product and
+// its sum into an FMA: every variant rounds each product and each partial
+// sum exactly as the others do, and the one picked at run time cannot move
+// a bit of any result.
 // ---------------------------------------------------------------------------
 
-#if defined(__GNUC__) || defined(__clang__)
+#if !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
 
-// One GCC generic vector spans the full kNR tile width; the compiler lowers
-// it to whatever the target ISA provides (2x SSE, 1x AVX2, 1x AVX-512 for
-// the per-ISA kNR picked in pack.h).  The type keeps its natural alignment
-// so the accumulators below live in registers; unaligned pack-buffer
-// traffic goes through memcpy loads/stores (compiled to vmovups).
-using vnr = float __attribute__((vector_size(4 * kNR), may_alias));
+// GCC vector types of one register each: SSE2, AVX2 and AVX-512 width.
+using Vec4 = float __attribute__((vector_size(16)));
+using Vec8 = float __attribute__((vector_size(32)));
+using Vec16 = float __attribute__((vector_size(64)));
 
-inline vnr load_vnr(const float* p) {
-  vnr v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void store_vnr(float* p, vnr v) { __builtin_memcpy(p, &v, sizeof(v)); }
-
-void microkernel(std::int64_t kc, const float* __restrict ap,
-                 const float* __restrict bp, float* __restrict acc) {
-  static_assert(kMR == 6, "microkernel is unrolled for kMR == 6");
-  vnr c0{}, c1{}, c2{}, c3{}, c4{}, c5{};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const vnr bv = load_vnr(bp + p * kNR);
-    const float* a = ap + p * kMR;
-    c0 += bv * a[0];
-    c1 += bv * a[1];
-    c2 += bv * a[2];
-    c3 += bv * a[3];
-    c4 += bv * a[4];
-    c5 += bv * a[5];
-  }
-  store_vnr(acc + 0 * kNR, c0);
-  store_vnr(acc + 1 * kNR, c1);
-  store_vnr(acc + 2 * kNR, c2);
-  store_vnr(acc + 3 * kNR, c3);
-  store_vnr(acc + 4 * kNR, c4);
-  store_vnr(acc + 5 * kNR, c5);
-}
-
-// Two-panel variant: a kMR x 2*kNR tile from two adjacent B panels.  Each
-// A broadcast feeds two FMAs, improving the load-port to FMA-port ratio
-// (8 loads : 12 FMAs vs 7 : 6 single-panel) on wide cores.  `acc` rows are
-// 2*kNR floats.  Element values are identical to two single-panel calls —
-// same K order — so tile-width selection cannot perturb results.
-void microkernel_x2(std::int64_t kc, const float* __restrict ap,
-                    const float* __restrict bp0, const float* __restrict bp1,
-                    float* __restrict acc) {
-  static_assert(kMR == 6, "microkernel is unrolled for kMR == 6");
-  vnr c00{}, c01{}, c10{}, c11{}, c20{}, c21{};
-  vnr c30{}, c31{}, c40{}, c41{}, c50{}, c51{};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const vnr b0 = load_vnr(bp0 + p * kNR);
-    const vnr b1 = load_vnr(bp1 + p * kNR);
-    const float* a = ap + p * kMR;
-    c00 += b0 * a[0];
-    c01 += b1 * a[0];
-    c10 += b0 * a[1];
-    c11 += b1 * a[1];
-    c20 += b0 * a[2];
-    c21 += b1 * a[2];
-    c30 += b0 * a[3];
-    c31 += b1 * a[3];
-    c40 += b0 * a[4];
-    c41 += b1 * a[4];
-    c50 += b0 * a[5];
-    c51 += b1 * a[5];
-  }
-  const std::int64_t ld = 2 * kNR;
-  store_vnr(acc + 0 * ld, c00);
-  store_vnr(acc + 0 * ld + kNR, c01);
-  store_vnr(acc + 1 * ld, c10);
-  store_vnr(acc + 1 * ld + kNR, c11);
-  store_vnr(acc + 2 * ld, c20);
-  store_vnr(acc + 2 * ld + kNR, c21);
-  store_vnr(acc + 3 * ld, c30);
-  store_vnr(acc + 3 * ld + kNR, c31);
-  store_vnr(acc + 4 * ld, c40);
-  store_vnr(acc + 4 * ld + kNR, c41);
-  store_vnr(acc + 5 * ld, c50);
-  store_vnr(acc + 5 * ld + kNR, c51);
-}
-
-#else
-
-void microkernel(std::int64_t kc, const float* __restrict ap,
-                 const float* __restrict bp, float* __restrict acc) {
-  for (std::int64_t i = 0; i < kMR * kNR; ++i) acc[i] = 0.0f;
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* __restrict b = bp + p * kNR;
-    const float* __restrict a = ap + p * kMR;
-    for (std::int64_t i = 0; i < kMR; ++i) {
-      const float av = a[i];
-      float* __restrict row = acc + i * kNR;
-      for (std::int64_t j = 0; j < kNR; ++j) row[j] += av * b[j];
+// A tile row is kNR / (floats per Vec) vectors; at most two of them are
+// accumulated per K sweep, so the 6 x 2 accumulators, two B vectors and a
+// broadcast fit even SSE2's sixteen registers (narrower targets take
+// several sweeps; each element still sees one in-order sum).
+template <typename Vec>
+[[gnu::always_inline]] inline void microkernel_body(
+    std::int64_t kc, const float* __restrict ap, const float* __restrict bp,
+    float* __restrict acc) {
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+  constexpr int kWidth = sizeof(Vec) / sizeof(float);
+  constexpr int kRowVecs = static_cast<int>(kNR) / kWidth;
+  constexpr int kSweepVecs = kRowVecs < 2 ? kRowVecs : 2;
+  for (int q = 0; q < kRowVecs; q += kSweepVecs) {
+    const float* b = bp + q * kWidth;
+    float* c = acc + q * kWidth;
+    Vec sum[kMR][kSweepVecs] = {};
+    for (std::int64_t p = 0; p < kc; ++p, b += kNR) {
+      Vec bv[kSweepVecs];
+#pragma GCC unroll 2
+      for (int v = 0; v < kSweepVecs; ++v) {
+        __builtin_memcpy(&bv[v], b + v * kWidth, sizeof(Vec));
+      }
+      const float* a = ap + p * kMR;
+#pragma GCC unroll 6
+      for (int i = 0; i < kMR; ++i) {
+#pragma GCC unroll 2
+        for (int v = 0; v < kSweepVecs; ++v) sum[i][v] += bv[v] * a[i];
+      }
+    }
+#pragma GCC unroll 6
+    for (int i = 0; i < kMR; ++i) {
+#pragma GCC unroll 2
+      for (int v = 0; v < kSweepVecs; ++v) {
+        __builtin_memcpy(c + i * kNR + v * kWidth, &sum[i][v], sizeof(Vec));
+      }
     }
   }
 }
 
-void microkernel_x2(std::int64_t kc, const float* __restrict ap,
-                    const float* __restrict bp0, const float* __restrict bp1,
-                    float* __restrict acc) {
-  float tile[kMR * kNR];
-  microkernel(kc, ap, bp0, tile);
-  for (std::int64_t i = 0; i < kMR; ++i) {
-    for (std::int64_t j = 0; j < kNR; ++j) {
-      acc[i * 2 * kNR + j] = tile[i * kNR + j];
-    }
-  }
-  microkernel(kc, ap, bp1, tile);
-  for (std::int64_t i = 0; i < kMR; ++i) {
-    for (std::int64_t j = 0; j < kNR; ++j) {
-      acc[i * 2 * kNR + kNR + j] = tile[i * kNR + j];
-    }
-  }
+void microkernel_sse2(std::int64_t kc, const float* ap, const float* bp,
+                      float* acc) {
+  microkernel_body<Vec4>(kc, ap, bp, acc);
 }
 
+[[gnu::target("avx2")]] void microkernel_avx2(std::int64_t kc,
+                                              const float* ap,
+                                              const float* bp, float* acc) {
+  microkernel_body<Vec8>(kc, ap, bp, acc);
+}
+
+[[gnu::target("avx512f")]] void microkernel_avx512f(std::int64_t kc,
+                                                    const float* ap,
+                                                    const float* bp,
+                                                    float* acc) {
+  microkernel_body<Vec16>(kc, ap, bp, acc);
+}
+
+#if !defined(__clang__)
+#pragma GCC pop_options
 #endif
 
 // Writes one microtile's accumulators into C, merging prior K blocks (or
 // the caller's C when accumulating) and applying the fused epilogue on the
 // final K block.  Handles ragged edges by clipping to mr x nr.
-void write_tile(const float* acc, std::int64_t acc_ld, float* c,
-                std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-                std::int64_t gi, std::int64_t gj, bool merge_c, bool last_k,
+void write_tile(const float* acc, float* c, std::int64_t ldc,
+                std::int64_t mr, std::int64_t nr, std::int64_t gi,
+                std::int64_t gj, bool merge_c, bool last_k,
                 const Epilogue& ep) {
   for (std::int64_t i = 0; i < mr; ++i) {
     float* crow = c + i * ldc;
-    const float* arow = acc + i * acc_ld;
+    const float* arow = acc + i * kNR;
     for (std::int64_t j = 0; j < nr; ++j) {
       float v = arow[j];
       if (merge_c) v += crow[j];
@@ -181,34 +144,22 @@ void write_tile(const float* acc, std::int64_t acc_ld, float* c,
   }
 }
 
-// Runs every microtile of an [mc x nc] block: A panels are in `apack`,
-// B panels in `bpack`, C starts at global coordinates (ic, jc).
-void run_block(const float* apack, const float* bpack, float* c,
-               std::int64_t ldc, std::int64_t ic, std::int64_t jc,
-               std::int64_t mc, std::int64_t nc, std::int64_t kc,
-               bool merge_c, bool last_k, const Epilogue& ep) {
-  alignas(64) float acc[kMR * 2 * kNR];
-  std::int64_t jr = 0;
-  while (jr < nc) {
+// Runs every microtile of an [mc x nc] block with `kernel`: A panels are in
+// `apack`, B panels in `bpack`, C starts at global coordinates (ic, jc).
+void run_block(detail::Microkernel kernel, const float* apack,
+               const float* bpack, float* c, std::int64_t ldc,
+               std::int64_t ic, std::int64_t jc, std::int64_t mc,
+               std::int64_t nc, std::int64_t kc, bool merge_c, bool last_k,
+               const Epilogue& ep) {
+  alignas(64) float acc[kMR * kNR];
+  for (std::int64_t jr = 0; jr < nc; jr += kNR) {
     const float* bpanel = bpack + jr * kc;
-    if (nc - jr >= 2 * kNR) {
-      // Full double tile from two adjacent packed panels.
-      for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-        const std::int64_t mr = std::min(kMR, mc - ir);
-        microkernel_x2(kc, apack + ir * kc, bpanel, bpanel + kc * kNR, acc);
-        write_tile(acc, 2 * kNR, c + (ic + ir) * ldc + jc + jr, ldc, mr,
-                   2 * kNR, ic + ir, jc + jr, merge_c, last_k, ep);
-      }
-      jr += 2 * kNR;
-    } else {
-      const std::int64_t nr = std::min(kNR, nc - jr);
-      for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-        const std::int64_t mr = std::min(kMR, mc - ir);
-        microkernel(kc, apack + ir * kc, bpanel, acc);
-        write_tile(acc, kNR, c + (ic + ir) * ldc + jc + jr, ldc, mr, nr,
-                   ic + ir, jc + jr, merge_c, last_k, ep);
-      }
-      jr += kNR;
+    const std::int64_t nr = std::min(kNR, nc - jr);
+    for (std::int64_t ir = 0; ir < mc; ir += kMR) {
+      const std::int64_t mr = std::min(kMR, mc - ir);
+      kernel(kc, apack + ir * kc, bpanel, acc);
+      write_tile(acc, c + (ic + ir) * ldc + jc + jr, ldc, mr, nr, ic + ir,
+                 jc + jr, merge_c, last_k, ep);
     }
   }
 }
@@ -237,13 +188,11 @@ void gemm_small(const ConstView& a, const ConstView& b, float* c,
 // slower than the identical loops compiled as a plain function.
 //
 // Narrow C rows (n <= kStreamRowBlockMaxN) are computed four at a time so
-// each B row load feeds four FMAs.  Per-row reduction order is untouched
-// by the blocking — every row still accumulates over p ascending, j
+// each B row load feeds four multiply-adds.  Per-row reduction order is
+// untouched by the blocking — every row still accumulates over p ascending, j
 // ascending — so chunk boundaries and the 4-row grouping cannot perturb
 // results (the pool-size determinism contract).
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))  // inlining into the closure re-pessimizes it
-#endif
+[[gnu::noinline]]  // inlining into the closure re-pessimizes it
 void stream_rows(const ConstView a, const ConstView b, float* const c,
                  const std::int64_t i0, const std::int64_t i1,
                  const std::int64_t k, const std::int64_t n,
@@ -331,6 +280,7 @@ void gemm_blocked(const ConstView& a, const ConstView& b, float* c,
   thread_local std::vector<float> apack_shared;
 
   util::ThreadPool& pool = util::global_pool();
+  const detail::Microkernel kernel = detail::active_microkernel().kernel;
   const std::int64_t ldc = n;
 
   for (std::int64_t jc = 0; jc < n; jc += kNC) {
@@ -362,8 +312,8 @@ void gemm_blocked(const ConstView& a, const ConstView& b, float* c,
                 const std::int64_t mc =
                     std::min(kMC, static_cast<std::int64_t>(hi) - ic);
                 pack_a(a, ic, pc, mc, kc, apack_local.data());
-                run_block(apack_local.data(), bpack, c, ldc, ic, jc, mc, nc,
-                          kc, merge_c, last_k, ep);
+                run_block(kernel, apack_local.data(), bpack, c, ldc, ic, jc,
+                          mc, nc, kc, merge_c, last_k, ep);
               }
             },
             static_cast<std::size_t>(kMC), static_cast<std::size_t>(kMR));
@@ -384,8 +334,8 @@ void gemm_blocked(const ConstView& a, const ConstView& b, float* c,
               const std::int64_t j0 = static_cast<std::int64_t>(plo) * kNR;
               const std::int64_t j1 =
                   std::min(nc, static_cast<std::int64_t>(phi) * kNR);
-              run_block(apack, bpack + j0 * kc, c, ldc, 0, jc + j0, m,
-                        j1 - j0, kc, merge_c, last_k, ep);
+              run_block(kernel, apack, bpack + j0 * kc, c, ldc, 0, jc + j0,
+                        m, j1 - j0, kc, merge_c, last_k, ep);
             },
             /*grain=*/1);
       }
@@ -445,6 +395,37 @@ void gemm_dispatch(const ConstView& a, const ConstView& b, float* c,
 }
 
 }  // namespace
+
+// --- microkernel selection --------------------------------------------------
+
+namespace detail {
+
+std::span<const MicrokernelVariant> microkernel_variants() {
+  static const std::array<MicrokernelVariant, 3> variants = [] {
+    __builtin_cpu_init();  // safe even before libgcc's own constructor
+    return std::array<MicrokernelVariant, 3>{{
+        {"sse2", &microkernel_sse2, true},
+        {"avx2", &microkernel_avx2, __builtin_cpu_supports("avx2") != 0},
+        {"avx512f", &microkernel_avx512f,
+         __builtin_cpu_supports("avx512f") != 0},
+    }};
+  }();
+  return variants;
+}
+
+const MicrokernelVariant& active_microkernel() {
+  static const MicrokernelVariant* const active = [] {
+    const auto variants = microkernel_variants();
+    const MicrokernelVariant* widest = &variants.front();  // always supported
+    for (const MicrokernelVariant& v : variants) {
+      if (v.supported) widest = &v;
+    }
+    return widest;
+  }();
+  return *active;
+}
+
+}  // namespace detail
 
 // --- raw-pointer entry points ----------------------------------------------
 

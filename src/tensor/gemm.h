@@ -9,8 +9,10 @@
 // All three are thin wrappers over one cache-blocked, packed core (see
 // pack.h for the blocking scheme): operands are repacked into contiguous
 // zero-padded panels and streamed through a register-tiled kMR x kNR
-// microkernel with branch-free, auto-vectorizable inner loops.  Tiny
-// problems below kSmallGemmLimit skip packing and run a naive loop nest.
+// microkernel.  One kernel body is compiled for SSE2, AVX2 and AVX-512F,
+// and the widest the CPU supports is picked once at run time; no variant
+// contracts to FMA, so the pick never changes a bit.  Tiny problems below
+// kSmallGemmLimit skip packing and run a naive loop nest.
 //
 // Threading: the core tiles rows (or, for short-wide problems, column
 // panels) of C across the global thread pool when called from the top
@@ -25,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "tensor/tensor.h"
 
@@ -72,5 +75,31 @@ void gemm_nt_ref(const float* a, const float* b_t, float* c, std::int64_t m,
                  std::int64_t k, std::int64_t n, bool accumulate);
 void gemm_tn_ref(const float* a_t, const float* b, float* c, std::int64_t m,
                  std::int64_t k, std::int64_t n, bool accumulate);
+
+namespace detail {
+
+// The blocked core's kMR x kNR microkernel: `acc` (kMR rows of kNR floats)
+// receives the product of one packed A panel and one packed B panel, each
+// kc deep (see pack.h).
+using Microkernel = void (*)(std::int64_t kc, const float* apack,
+                             const float* bpack, float* acc);
+
+// One compiled instance of the microkernel body.  Every variant computes
+// each element as the same in-order K sum of rounded products, so all of
+// them give the same bits; they differ only in vector width.
+struct MicrokernelVariant {
+  const char* isa;  // "sse2", "avx2" or "avx512f"
+  Microkernel kernel;
+  bool supported;   // this CPU can run it
+};
+
+// All variants, baseline (SSE2) first, widest last.
+std::span<const MicrokernelVariant> microkernel_variants();
+
+// The widest supported variant: the one every blocked GEMM runs.  Chosen
+// once per process.
+const MicrokernelVariant& active_microkernel();
+
+}  // namespace detail
 
 }  // namespace tifl::tensor

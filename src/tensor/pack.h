@@ -24,17 +24,12 @@
 namespace tifl::tensor {
 
 // Register microtile: each microkernel call produces kMR x kNR elements of
-// C.  kNR adapts to the target ISA so the 6 x (kNR/vector-width) accumulator
-// grid fills the register file without spilling: 12 zmm on AVX-512, 12 ymm
-// on AVX/AVX2, 12 xmm on baseline SSE2.
+// C.  One packing layout serves every ISA: a 16-float tile row is one zmm
+// on AVX-512, two ymm on AVX2 and four xmm on baseline SSE2.  gemm.cc
+// compiles one kernel body per ISA and picks the widest the CPU supports
+// at run time; the packed panels do not depend on that choice.
 inline constexpr std::int64_t kMR = 6;
-#if defined(__AVX512F__)
 inline constexpr std::int64_t kNR = 16;
-#elif defined(__AVX__)
-inline constexpr std::int64_t kNR = 16;
-#else
-inline constexpr std::int64_t kNR = 8;
-#endif
 
 // Cache blocking: a kMC x kKC A block (~96 KiB) lives in L2 while its
 // panels stream through L1; a kKC x kNC B slab (~2 MiB) is packed once per
@@ -58,8 +53,8 @@ inline constexpr std::int64_t kStreamMaxK = 16;
 inline constexpr std::int64_t kStreamMaxM = 2 * kMR;
 
 // Streamed C rows at or below this width are computed four rows per B
-// sweep (each B row load feeds four FMAs); wider rows go one at a time —
-// with multi-kilobyte rows the extra write streams cost more than the
+// sweep (each B row load feeds four multiply-adds); wider rows go one at a
+// time — with multi-kilobyte rows the extra write streams cost more than the
 // B reuse saves.
 inline constexpr std::int64_t kStreamRowBlockMaxN = 512;
 

@@ -1,6 +1,9 @@
 #include "util/cli.h"
 
-#include <cstdlib>
+#include <cctype>
+#include <charconv>
+#include <cmath>
+#include <stdexcept>
 
 namespace tifl::util {
 
@@ -12,6 +15,25 @@ bool looks_like_value(const std::string& s) {
   // "-3" / "-0.5" are values, "--flag" / "-f" are options.
   return s.size() > 1 && (std::isdigit(static_cast<unsigned char>(s[1])) ||
                           s[1] == '.');
+}
+
+// Parses the whole of `text` as a T, or throws naming the flag: trailing
+// junk ("3x"), an empty value and out-of-range values are all errors.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text,
+               const char* expected) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error == std::errc::result_out_of_range) {
+    throw std::invalid_argument("--" + key + " is out of range: '" + text +
+                                "'");
+  }
+  if (error != std::errc() || end != last) {
+    throw std::invalid_argument("--" + key + " expects " + expected +
+                                ", got '" + text + "'");
+  }
+  return value;
 }
 
 }  // namespace
@@ -59,13 +81,18 @@ std::int64_t Cli::get_int(const std::string& key,
                           std::int64_t fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_number<std::int64_t>(key, it->second, "an integer");
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const double value = parse_number<double>(key, it->second, "a number");
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument("--" + key + " expects a finite number, got '" +
+                                it->second + "'");
+  }
+  return value;
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {

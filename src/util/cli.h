@@ -17,6 +17,9 @@ class Cli {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  // Numeric getters parse the whole value and throw std::invalid_argument
+  // naming the flag when it is malformed, out of range or (for doubles)
+  // not finite: a typo must never silently become another number.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;

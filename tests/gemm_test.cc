@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "tensor/ops.h"
+#include "tensor/pack.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -274,6 +277,77 @@ TEST(Gemm, NtNnConsistency) {
   gemm_nn(a, b, c_nn);
   gemm_nt(a, b_t, c_nt);
   EXPECT_LE(max_abs_diff(c_nn, c_nt), 1e-4f);
+}
+
+// --- microkernel variants ---------------------------------------------------
+
+// Every compiled microkernel (SSE2, AVX2, AVX-512F) must give the baseline
+// variant's bits on the same packed panels, and the baseline must give the
+// bits of a scalar in-order K sum: which variant the CPU picks can never
+// move a result.  Variants this CPU cannot run are skipped.
+class MicrokernelVariants : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MicrokernelVariants, MatchBaselineBitwise) {
+  const auto variants = detail::microkernel_variants();
+  ASSERT_LT(GetParam(), variants.size());
+  const detail::MicrokernelVariant& variant = variants[GetParam()];
+  if (!variant.supported) GTEST_SKIP() << variant.isa << " not supported";
+  const detail::MicrokernelVariant& baseline = variants.front();
+  ASSERT_TRUE(baseline.supported);
+
+  util::Rng rng(77);
+  struct Edge {
+    std::int64_t mr, nr;
+  };
+  // Full tiles and zero-padded edge panels (rows past mr, columns past nr).
+  for (const Edge edge : {Edge{kMR, kNR}, Edge{1, 1}, Edge{5, 13}}) {
+    for (const std::int64_t kc : {1, 5, 256}) {
+      const Tensor a = Tensor::randn({edge.mr, kc}, rng);
+      const Tensor b = Tensor::randn({kc, edge.nr}, rng);
+      std::vector<float> apack(static_cast<std::size_t>(kMR * kc));
+      std::vector<float> bpack(static_cast<std::size_t>(kc * kNR));
+      pack_a({a.data(), kc, 1}, 0, 0, edge.mr, kc, apack.data());
+      pack_b({b.data(), edge.nr, 1}, 0, 0, kc, edge.nr, bpack.data());
+
+      std::vector<float> expected(kMR * kNR), base(kMR * kNR, -1.0f),
+          got(kMR * kNR, -2.0f);
+      for (std::int64_t i = 0; i < kMR; ++i) {
+        for (std::int64_t j = 0; j < kNR; ++j) {
+          float sum = 0.0f;
+          for (std::int64_t p = 0; p < kc; ++p) {
+            sum += apack[p * kMR + i] * bpack[p * kNR + j];
+          }
+          expected[i * kNR + j] = sum;
+        }
+      }
+      baseline.kernel(kc, apack.data(), bpack.data(), base.data());
+      variant.kernel(kc, apack.data(), bpack.data(), got.data());
+      const std::size_t bytes = sizeof(float) * expected.size();
+      EXPECT_EQ(std::memcmp(base.data(), expected.data(), bytes), 0)
+          << "baseline vs in-order sum, kc " << kc << " edge " << edge.mr
+          << "x" << edge.nr;
+      EXPECT_EQ(std::memcmp(got.data(), base.data(), bytes), 0)
+          << variant.isa << " vs baseline, kc " << kc << " edge " << edge.mr
+          << "x" << edge.nr;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, MicrokernelVariants,
+                         ::testing::Range<std::size_t>(0, 3),
+                         [](const ::testing::TestParamInfo<std::size_t>& param) {
+                           return std::string(
+                               detail::microkernel_variants()[param.param].isa);
+                         });
+
+TEST(Microkernel, ActiveIsTheWidestSupported) {
+  const auto variants = detail::microkernel_variants();
+  const detail::MicrokernelVariant* widest = nullptr;
+  for (const auto& v : variants) {
+    if (v.supported) widest = &v;
+  }
+  ASSERT_NE(widest, nullptr);
+  EXPECT_EQ(&detail::active_microkernel(), widest);
 }
 
 }  // namespace

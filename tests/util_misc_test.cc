@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -120,6 +121,34 @@ TEST(Cli, FlagFollowedByFlagIsBoolean) {
   Cli cli(4, argv);
   EXPECT_TRUE(cli.get_bool("x"));
   EXPECT_EQ(cli.get_int("y", 0), 7);
+}
+
+TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
+  const char* argv[] = {"prog",        "--churn=abc", "--rounds=3x",
+                        "--alpha=nan", "--big=99999999999999999999",
+                        "--scale=1e999", "--empty=", "--ok=2.5e-1"};
+  Cli cli(8, argv);
+  const auto message = [&](auto&& get) {
+    try {
+      get();
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(message([&] { cli.get_double("churn", 0.0); }).find("--churn"),
+            std::string::npos);
+  EXPECT_NE(message([&] { cli.get_int("rounds", 0); }).find("--rounds"),
+            std::string::npos);
+  EXPECT_NE(message([&] { cli.get_double("alpha", 0.0); }).find("--alpha"),
+            std::string::npos);
+  EXPECT_NE(message([&] { cli.get_int("big", 0); }).find("out of range"),
+            std::string::npos);
+  EXPECT_THROW(cli.get_double("scale", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("empty", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("empty", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("ok", 0), std::invalid_argument);  // not integral
+  EXPECT_DOUBLE_EQ(cli.get_double("ok", 0.0), 0.25);
 }
 
 // --- Log ---------------------------------------------------------------------
