@@ -21,7 +21,9 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "tensor/im2col.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
+#include "util/cli.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -347,22 +350,34 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_gemm.json";
   int step_reps = 0;
   std::int64_t batch = 10;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--reps" && i + 1 < argc) {
-      step_reps = std::atoi(argv[++i]);
-    } else if (arg == "--batch" && i + 1 < argc) {
-      batch = std::atoll(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_gemm [--smoke] [--json PATH] [--reps N] "
-                   "[--batch N]\n");
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--smoke") {
+        smoke = true;
+      } else if (arg == "--json" && i + 1 < argc) {
+        json_path = argv[++i];
+      } else if (arg == "--reps" && i + 1 < argc) {
+        const std::uint64_t reps = util::parse_count("reps", argv[++i]);
+        if (reps > static_cast<std::uint64_t>(
+                       std::numeric_limits<int>::max())) {
+          throw std::invalid_argument("--reps is out of range: '" +
+                                      std::string(argv[i]) + "'");
+        }
+        step_reps = static_cast<int>(reps);
+      } else if (arg == "--batch" && i + 1 < argc) {
+        batch = util::parse_int("batch", argv[++i]);
+        if (batch < 1) throw std::invalid_argument("--batch must be >= 1");
+      } else {
+        std::fprintf(stderr,
+                     "usage: bench_gemm [--smoke] [--json PATH] [--reps N] "
+                     "[--batch N]\n");
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_gemm: %s\n", error.what());
+    return 1;
   }
   const double target_seconds = smoke ? 0.02 : 0.25;
   if (step_reps == 0) step_reps = smoke ? 2 : 10;

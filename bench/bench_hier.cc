@@ -25,12 +25,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "obs/metrics.h"
 #include "scenarios.h"
+#include "util/cli.h"
 #include "util/log.h"
 
 namespace tifl::bench {
@@ -69,25 +71,30 @@ int main(int argc, char** argv) {
   options.rounds = 40;
   std::size_t report_every = 2;
   std::string json_path = "BENCH_hier.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      options.scale = 0.02;
-      options.rounds = 8;
-    } else if (arg == "--rounds" && i + 1 < argc) {
-      options.rounds = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--scale" && i + 1 < argc) {
-      options.scale = std::atof(argv[++i]);
-    } else if (arg == "--report-every" && i + 1 < argc) {
-      report_every = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_hier [--smoke] [--rounds N] [--scale S] "
-                   "[--report-every N] [--json PATH]\n");
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--smoke") {
+        options.scale = 0.02;
+        options.rounds = 8;
+      } else if (arg == "--rounds" && i + 1 < argc) {
+        options.rounds = util::parse_count("rounds", argv[++i]);
+      } else if (arg == "--scale" && i + 1 < argc) {
+        options.scale = util::parse_double("scale", argv[++i]);
+      } else if (arg == "--report-every" && i + 1 < argc) {
+        report_every = util::parse_count("report-every", argv[++i]);
+      } else if (arg == "--json" && i + 1 < argc) {
+        json_path = argv[++i];
+      } else {
+        std::fprintf(stderr,
+                     "usage: bench_hier [--smoke] [--rounds N] [--scale S] "
+                     "[--report-every N] [--json PATH]\n");
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_hier: %s\n", error.what());
+    return 1;
   }
 
   // The flat point doubles as the accuracy yardstick: every tree run is

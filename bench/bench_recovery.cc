@@ -7,9 +7,11 @@
 //                    final weight hash every other point must reproduce.
 //   2. checkpointed — snapshots every span/8 virtual seconds plus the
 //                    CRC-framed event log.  Reports snapshot count, mean
-//                    snapshot bytes, mean write latency (from the
-//                    checkpoint.* counters) and the end-to-end overhead
-//                    versus the baseline.
+//                    snapshot bytes, the mean time a checkpoint holds the
+//                    event loop (checkpoint.write_ns: encode plus any wait
+//                    for the previous write), the mean CRC + I/O time on
+//                    the writer thread (checkpoint.io_ns) and the
+//                    end-to-end overhead versus the baseline.
 //   3. crash+resume — the same checkpointed run killed by an injected
 //                    crash at 60% of the span, then resumed from the last
 //                    snapshot.  Reports the resume wall time, the
@@ -26,11 +28,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "obs/metrics.h"
+#include "util/cli.h"
 #include "util/log.h"
 
 namespace tifl::bench {
@@ -113,6 +117,7 @@ struct RunPoint {
   std::size_t snapshots = 0;
   double snapshot_mean_kib = 0.0;
   double snapshot_mean_ms = 0.0;
+  double snapshot_mean_io_ms = 0.0;
 };
 
 // Runs the async engine over a fresh federation; throws sim::SimulatedCrash
@@ -144,6 +149,9 @@ RunPoint run_point(const std::string& label, std::size_t clients,
     point.snapshot_mean_ms =
         static_cast<double>(reg.counter("checkpoint.write_ns").value()) /
         static_cast<double>(point.snapshots) / 1e6;
+    point.snapshot_mean_io_ms =
+        static_cast<double>(reg.counter("checkpoint.io_ns").value()) /
+        static_cast<double>(point.snapshots) / 1e6;
   }
   return point;
 }
@@ -170,22 +178,27 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_recovery.json";
   std::size_t clients = 2000;
   std::size_t updates = 1024;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--clients" && i + 1 < argc) {
-      clients = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--updates" && i + 1 < argc) {
-      updates = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_recovery [--smoke] [--clients N] "
-                   "[--updates N] [--json PATH]\n");
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--smoke") {
+        smoke = true;
+      } else if (arg == "--json" && i + 1 < argc) {
+        json_path = argv[++i];
+      } else if (arg == "--clients" && i + 1 < argc) {
+        clients = util::parse_count("clients", argv[++i]);
+      } else if (arg == "--updates" && i + 1 < argc) {
+        updates = util::parse_count("updates", argv[++i]);
+      } else {
+        std::fprintf(stderr,
+                     "usage: bench_recovery [--smoke] [--clients N] "
+                     "[--updates N] [--json PATH]\n");
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_recovery: %s\n", error.what());
+    return 1;
   }
   if (smoke) {
     clients = 500;
@@ -204,14 +217,15 @@ int main(int argc, char** argv) {
               clients, updates, span);
 
   const auto print_row = [](const RunPoint& r) {
-    std::printf("%-14s %9.2f %9.2f %8zu %8zu  %016llx %5zu %9.1f %8.2f\n",
-                r.label.c_str(), r.build_seconds, r.run_seconds, r.updates,
-                r.events, static_cast<unsigned long long>(r.final_weight_hash),
-                r.snapshots, r.snapshot_mean_kib, r.snapshot_mean_ms);
+    std::printf(
+        "%-14s %9.2f %9.2f %8zu %8zu  %016llx %5zu %9.1f %8.2f %8.2f\n",
+        r.label.c_str(), r.build_seconds, r.run_seconds, r.updates, r.events,
+        static_cast<unsigned long long>(r.final_weight_hash), r.snapshots,
+        r.snapshot_mean_kib, r.snapshot_mean_ms, r.snapshot_mean_io_ms);
   };
-  std::printf("%-14s %9s %9s %8s %8s  %-16s %5s %9s %8s\n", "point",
+  std::printf("%-14s %9s %9s %8s %8s  %-16s %5s %9s %8s %8s\n", "point",
               "build [s]", "run [s]", "updates", "events", "hash", "snaps",
-              "KiB/snap", "ms/snap");
+              "KiB/snap", "ms/snap", "io ms");
 
   const fl::AsyncConfig base_async = bench::recovery_async(updates);
   const RunPoint baseline =
@@ -286,10 +300,12 @@ int main(int argc, char** argv) {
          << std::dec << "\""
          << ", \"snapshots\": " << r.snapshots
          << ", \"snapshot_mean_kib\": " << r.snapshot_mean_kib
-         << ", \"snapshot_mean_ms\": " << r.snapshot_mean_ms << "}";
+         << ", \"snapshot_mean_ms\": " << r.snapshot_mean_ms
+         << ", \"snapshot_mean_io_ms\": " << r.snapshot_mean_io_ms << "}";
   };
   std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"recovery\",\n  \"smoke\": "
+  json << "{\n  \"bench\": \"recovery\",\n  \"build\": "
+       << bench::build_header_json() << ",\n  \"smoke\": "
        << (smoke ? "true" : "false") << ",\n  \"clients\": " << clients
        << ",\n  \"updates\": " << updates << ",\n  \"span\": " << span
        << ",\n  \"checkpoint_overhead\": " << overhead

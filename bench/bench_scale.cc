@@ -35,12 +35,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
+#include "util/cli.h"
 #include "util/log.h"
 
 namespace tifl::bench {
@@ -205,22 +207,27 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_scale.json";
   std::size_t updates = 512;
   std::size_t custom_clients = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--updates" && i + 1 < argc) {
-      updates = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--clients" && i + 1 < argc) {
-      custom_clients = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_scale [--smoke] [--clients N] [--updates N] "
-                   "[--json PATH]\n");
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--smoke") {
+        smoke = true;
+      } else if (arg == "--json" && i + 1 < argc) {
+        json_path = argv[++i];
+      } else if (arg == "--updates" && i + 1 < argc) {
+        updates = util::parse_count("updates", argv[++i]);
+      } else if (arg == "--clients" && i + 1 < argc) {
+        custom_clients = util::parse_count("clients", argv[++i]);
+      } else {
+        std::fprintf(stderr,
+                     "usage: bench_scale [--smoke] [--clients N] "
+                     "[--updates N] [--json PATH]\n");
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_scale: %s\n", error.what());
+    return 1;
   }
 
   std::vector<std::size_t> scales{10000, 100000, 1000000};

@@ -181,11 +181,8 @@ struct AsyncMetrics {
   // bookends.
   obs::Counter& setup_ns;
   obs::Counter& finalize_ns;
-  // Durability: snapshot writes (count/bytes/wall time) and the fault
-  // model's lost-then-retried vs permanently-dropped update deliveries.
-  obs::Counter& checkpoint_writes;
-  obs::Counter& checkpoint_bytes;
-  obs::Counter& checkpoint_write_ns;
+  // Durability: the fault model's lost-then-retried vs permanently-dropped
+  // update deliveries (snapshot counters live in fl::SnapshotWriter).
   obs::Counter& lost_updates;
   obs::Counter& dropped_updates;
   obs::Histo& staleness;
@@ -206,9 +203,6 @@ AsyncMetrics& async_metrics() {
       reg.counter("async.reprofiles"),
       reg.counter("async.setup_ns"),
       reg.counter("async.finalize_ns"),
-      reg.counter("checkpoint.writes"),
-      reg.counter("checkpoint.bytes"),
-      reg.counter("checkpoint.write_ns"),
       reg.counter("fault.lost_updates"),
       reg.counter("fault.dropped_updates"),
       reg.histogram("async.staleness"),
@@ -784,22 +778,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   open_event_log(event_log, async_.event_log_path, resuming,
                  out.processed_events);
 
-  const auto write_checkpoint = [&]() {
-    const auto start = obs::wall_now();
-    util::ByteSink sink;
-    save_state(sink);
-    const std::size_t bytes =
-        save_snapshot(async_.checkpoint_path, sink.bytes());
-    if (event_log.is_open()) event_log.sync();
-    metrics.checkpoint_writes.add();
-    metrics.checkpoint_bytes.add(bytes);
-    metrics.checkpoint_write_ns.add(obs::wall_ns_count_since(start));
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant(queue.now(), "durability", "checkpoint", /*actor=*/0,
-                 {obs::field("version", out.result.rounds.size()),
-                  obs::field("events", out.processed_events)});
-    }
-  };
+  SnapshotWriter checkpoints(async_.checkpoint_path);
 
   if (!resuming) {
     for (std::size_t t = 0; t < num_tiers; ++t) {
@@ -980,7 +959,11 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     // point: the trigger is a pure function of event times (never a queue
     // event), so it perturbs no seqs.
     if (!budget_exhausted && queue.now() >= next_checkpoint_due) {
-      write_checkpoint();
+      // The journal is synced before the hand-off, so a snapshot on disk
+      // never runs ahead of it.
+      if (event_log.is_open()) event_log.sync();
+      checkpoints.write(queue.now(), out.result.rounds.size(),
+                        out.processed_events, save_state);
       next_checkpoint_due =
           (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
           async_.checkpoint_every;
@@ -995,6 +978,8 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     out.result.rounds.back().global_accuracy = r.accuracy;
     out.result.rounds.back().global_loss = r.loss;
   }
+
+  checkpoints.flush();
 
   const auto finalize_start = obs::wall_now();
   finalize_result(out, std::move(global), tier_updates, staleness_sum,
@@ -1599,22 +1584,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   open_event_log(event_log, async_.event_log_path, resuming,
                  out.processed_events);
 
-  const auto write_checkpoint = [&]() {
-    const auto start = obs::wall_now();
-    util::ByteSink sink;
-    save_state(sink);
-    const std::size_t bytes =
-        save_snapshot(async_.checkpoint_path, sink.bytes());
-    if (event_log.is_open()) event_log.sync();
-    metrics.checkpoint_writes.add();
-    metrics.checkpoint_bytes.add(bytes);
-    metrics.checkpoint_write_ns.add(obs::wall_ns_count_since(start));
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant(queue.now(), "durability", "checkpoint", /*actor=*/0,
-                 {obs::field("version", out.result.rounds.size()),
-                  obs::field("events", out.processed_events)});
-    }
-  };
+  SnapshotWriter checkpoints(async_.checkpoint_path);
 
   if (!resuming) {
     for (std::size_t t = 0; t < num_tiers; ++t) {
@@ -2027,7 +1997,11 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     // point: the trigger is a pure function of event times (never a queue
     // event), so it perturbs no seqs.
     if (!stopped && queue.now() >= next_checkpoint_due) {
-      write_checkpoint();
+      // The journal is synced before the hand-off, so a snapshot on disk
+      // never runs ahead of it.
+      if (event_log.is_open()) event_log.sync();
+      checkpoints.write(queue.now(), out.result.rounds.size(),
+                        out.processed_events, save_state);
       next_checkpoint_due =
           (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
           async_.checkpoint_every;
@@ -2040,6 +2014,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     out.result.rounds.back().global_accuracy = r.accuracy;
     out.result.rounds.back().global_loss = r.loss;
   }
+
+  checkpoints.flush();
 
   const auto finalize_start = obs::wall_now();
   finalize_result(out, std::move(global), tier_updates, staleness_sum,

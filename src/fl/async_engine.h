@@ -122,7 +122,7 @@ struct AsyncConfig {
   bool dynamic_lifecycle = false;
 
   // --- durability ------------------------------------------------------------
-  // Virtual seconds between full-run snapshots (fl::save_snapshot into
+  // Virtual seconds between full-run snapshots (fl::SnapshotWriter into
   // `checkpoint_path`); 0 disables checkpointing.  A snapshot captures the
   // complete resumable state — model + per-tier models, RNG stream
   // positions, policy and re-tierer state, in-flight cohorts, the event

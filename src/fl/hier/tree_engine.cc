@@ -17,7 +17,6 @@
 #include "obs/metrics.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
-#include "obs/wall_time.h"
 #include "sim/fault_model.h"
 #include "sim/event_queue.h"
 #include "util/log.h"
@@ -59,9 +58,6 @@ struct HierMetrics {
   obs::Counter& rejoins;
   obs::Counter& reprofiles;
   obs::Counter& root_link_bytes;
-  obs::Counter& checkpoint_writes;
-  obs::Counter& checkpoint_bytes;
-  obs::Counter& checkpoint_write_ns;
   obs::Counter& lost_updates;
   obs::Counter& dropped_updates;
   obs::Histo& link_delay;
@@ -80,9 +76,6 @@ HierMetrics& hier_metrics() {
       reg.counter("hier.rejoins"),
       reg.counter("hier.reprofiles"),
       reg.counter("hier.root_link_bytes"),
-      reg.counter("checkpoint.writes"),
-      reg.counter("checkpoint.bytes"),
-      reg.counter("checkpoint.write_ns"),
       reg.counter("fault.lost_updates"),
       reg.counter("fault.dropped_updates"),
       reg.histogram("hier.link_delay"),
@@ -630,21 +623,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
                    out.result.rounds.size(), ", t=", queue.now());
   }
 
-  const auto write_checkpoint = [&]() {
-    const auto start = obs::wall_now();
-    util::ByteSink sink;
-    save_state(sink);
-    const std::size_t bytes =
-        save_snapshot(async_.checkpoint_path, sink.bytes());
-    metrics.checkpoint_writes.add();
-    metrics.checkpoint_bytes.add(bytes);
-    metrics.checkpoint_write_ns.add(obs::wall_ns_count_since(start));
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant(queue.now(), "durability", "checkpoint", /*actor=*/0,
-                 {obs::field("version", out.result.rounds.size()),
-                  obs::field("events", out.processed_events)});
-    }
-  };
+  SnapshotWriter checkpoints(async_.checkpoint_path);
 
   if (!resuming) {
     for (std::size_t leaf : leaf_nodes) {
@@ -874,7 +853,8 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
       stopping = true;
     }
     if (!stopping && queue.now() >= next_checkpoint_due) {
-      write_checkpoint();
+      checkpoints.write(queue.now(), out.result.rounds.size(),
+                        out.processed_events, save_state);
       next_checkpoint_due =
           (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
           async_.checkpoint_every;
@@ -887,6 +867,8 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     out.result.rounds.back().global_accuracy = r.accuracy;
     out.result.rounds.back().global_loss = r.loss;
   }
+
+  checkpoints.flush();
 
   out.final_weights = nodes[0].model;
   out.node_rounds.reserve(num_nodes);

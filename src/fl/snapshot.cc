@@ -11,6 +11,9 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "obs/wall_time.h"
+#include "util/log.h"
 
 namespace tifl::fl {
 
@@ -31,9 +34,72 @@ void fsync_or_throw(int fd, const std::string& what) {
   }
 }
 
+struct CheckpointMetrics {
+  obs::Counter& writes;
+  obs::Counter& bytes;
+  obs::Counter& write_ns;
+  obs::Counter& io_ns;
+};
+
+CheckpointMetrics& checkpoint_metrics() {
+  obs::Registry& reg = obs::Registry::global();
+  static CheckpointMetrics m{
+      reg.counter("checkpoint.writes"),
+      reg.counter("checkpoint.bytes"),
+      reg.counter("checkpoint.write_ns"),
+      reg.counter("checkpoint.io_ns"),
+  };
+  return m;
+}
+
 }  // namespace
 
-std::size_t save_snapshot(const std::string& path, std::string_view payload) {
+SnapshotWriter::SnapshotWriter(std::string path) : path_(std::move(path)) {
+  checkpoint_metrics();  // registered whether or not a checkpoint is due
+}
+
+SnapshotWriter::~SnapshotWriter() {
+  if (!in_flight_.valid()) return;
+  try {
+    in_flight_.get();
+  } catch (const std::exception& error) {
+    util::log_error("snapshot: last write failed: ", error.what());
+  }
+}
+
+void SnapshotWriter::write(
+    double virtual_time, std::size_t version, std::size_t events,
+    const std::function<void(util::ByteSink&)>& encode) {
+  CheckpointMetrics& metrics = checkpoint_metrics();
+  const auto start = obs::wall_now();
+  util::ByteSink& sink = sinks_[next_];
+  sink.clear();
+  encode(sink);
+  flush();
+  if (!writer_) writer_ = std::make_unique<util::ThreadPool>(1);
+  in_flight_ = writer_->submit([this, &sink] {
+    const auto io_start = obs::wall_now();
+    save_snapshot(path_, sink.bytes());
+    io_ns_ = obs::wall_ns_count_since(io_start);
+  });
+  next_ ^= 1;
+  metrics.writes.add();
+  metrics.bytes.add(kSnapshotHeaderBytes + sink.size());
+  metrics.write_ns.add(obs::wall_ns_count_since(start));
+  if (obs::Tracer* t = obs::tracer()) {
+    t->instant(virtual_time, "durability", "checkpoint", /*actor=*/0,
+               {obs::field("version", version), obs::field("events", events)});
+  }
+}
+
+void SnapshotWriter::flush() {
+  if (!in_flight_.valid()) return;
+  std::future<void> done = std::move(in_flight_);
+  done.get();
+  checkpoint_metrics().io_ns.add(io_ns_);
+}
+
+void save_snapshot(const std::string& path, std::string_view payload) {
   util::ByteSink header;
   header.put_bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
   header.put_u32(kSnapshotVersion);
@@ -82,7 +148,6 @@ std::size_t save_snapshot(const std::string& path, std::string_view payload) {
     ::fsync(dirfd);
     ::close(dirfd);
   }
-  return header.size() + payload.size();
 }
 
 std::string load_snapshot(const std::string& path) {

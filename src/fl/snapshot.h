@@ -19,16 +19,36 @@
 // file size before any allocation) and CRC are all checked before a byte
 // of payload reaches the engine; every failure is a clean
 // std::runtime_error.
+//
+// Engines checkpoint through one SnapshotWriter.  The event-loop thread
+// only encodes the payload into one of two reused buffers and hands it
+// off; one writer thread (started at the first checkpoint, never when
+// checkpointing is off) runs save_snapshot: CRC, write, fsync, rename and
+// directory fsync, unchanged.  At most one write is in flight: a hand-off
+// first waits for the previous write.  flush() at run end and the
+// destructor (which also runs on unwind, e.g. an injected crash) wait for
+// the write in flight, so a finished or crashed run leaves its last
+// checkpoint complete on disk.  A write error is rethrown on the loop
+// thread at the next hand-off or flush().  Counters, all updated on the
+// loop thread: checkpoint.writes and checkpoint.bytes (header + payload);
+// checkpoint.write_ns, the loop thread's time per checkpoint (encode plus
+// any wait for the previous write); checkpoint.io_ns, the writer's CRC
+// and I/O time, added when the loop thread collects the write.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <future>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "fl/metrics.h"
 #include "util/serial.h"
+#include "util/thread_pool.h"
 
 namespace tifl::fl {
 
@@ -38,10 +58,49 @@ inline constexpr char kSnapshotMagic[8] = {'T', 'I', 'F', 'L',
 // under another version is rejected on load, never misread.
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 
-// Atomically replaces `path` with a snapshot wrapping `payload`; returns
-// the total bytes written (header + payload).  Throws std::runtime_error
-// on any I/O failure (the temp file is removed on error).
-std::size_t save_snapshot(const std::string& path, std::string_view payload);
+// Bytes the container header adds before the payload.
+inline constexpr std::size_t kSnapshotHeaderBytes =
+    sizeof(kSnapshotMagic) + 4 + 8 + 4;
+
+// Atomically replaces `path` with a snapshot wrapping `payload`.  Throws
+// std::runtime_error on any I/O failure (the temp file is removed on
+// error).
+void save_snapshot(const std::string& path, std::string_view payload);
+
+// The one checkpoint path of every engine (see the file comment).  Not
+// thread-safe: one loop thread calls write() and flush().
+class SnapshotWriter {
+ public:
+  explicit SnapshotWriter(std::string path);
+  // Waits for the write in flight; an error it raised is logged, since a
+  // destructor cannot throw (the normal path calls flush() first).
+  ~SnapshotWriter();
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
+
+  // Encodes one snapshot payload with `encode`, waits for the previous
+  // write (rethrowing its error) and hands the payload to the writer
+  // thread.  `virtual_time`, `version` and `events` stamp the trace's
+  // durability instant.
+  void write(double virtual_time, std::size_t version, std::size_t events,
+             const std::function<void(util::ByteSink&)>& encode);
+  // Waits for the write in flight and rethrows its error.
+  void flush();
+  // True once the first write() started the writer thread.
+  bool thread_started() const noexcept { return writer_ != nullptr; }
+
+ private:
+  const std::string path_;
+  // Two payload buffers: the loop thread encodes into sinks_[next_] while
+  // the writer may still read the other one.
+  std::array<util::ByteSink, 2> sinks_;
+  std::size_t next_ = 0;
+  // Set by the writer task; read only after flush() collected it.
+  std::uint64_t io_ns_ = 0;
+  std::future<void> in_flight_;
+  // Declared last, so its thread is joined before the buffers go.
+  std::unique_ptr<util::ThreadPool> writer_;
+};
 
 // Loads and validates the snapshot at `path`, returning its payload.
 // Throws std::runtime_error on missing file, foreign magic, unsupported

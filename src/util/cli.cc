@@ -38,6 +38,23 @@ T parse_number(const std::string& key, const std::string& text,
 
 }  // namespace
 
+std::int64_t parse_int(const std::string& key, const std::string& text) {
+  return parse_number<std::int64_t>(key, text, "an integer");
+}
+
+std::uint64_t parse_count(const std::string& key, const std::string& text) {
+  return parse_number<std::uint64_t>(key, text, "a non-negative integer");
+}
+
+double parse_double(const std::string& key, const std::string& text) {
+  const double value = parse_number<double>(key, text, "a number");
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument("--" + key + " expects a finite number, got '" +
+                                text + "'");
+  }
+  return value;
+}
+
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
@@ -81,18 +98,13 @@ std::int64_t Cli::get_int(const std::string& key,
                           std::int64_t fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  return parse_number<std::int64_t>(key, it->second, "an integer");
+  return parse_int(key, it->second);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  const double value = parse_number<double>(key, it->second, "a number");
-  if (!std::isfinite(value)) {
-    throw std::invalid_argument("--" + key + " expects a finite number, got '" +
-                                it->second + "'");
-  }
-  return value;
+  return parse_double(key, it->second);
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {

@@ -11,6 +11,14 @@
 
 namespace tifl::util {
 
+// Whole-value numeric parsing behind Cli's getters, for tools that walk
+// argv themselves.  Each throws std::invalid_argument naming `--key` when
+// `text` is malformed, empty or out of range; parse_count also refuses a
+// sign, parse_double a non-finite value.
+std::int64_t parse_int(const std::string& key, const std::string& text);
+std::uint64_t parse_count(const std::string& key, const std::string& text);
+double parse_double(const std::string& key, const std::string& text);
+
 class Cli {
  public:
   Cli(int argc, const char* const* argv);

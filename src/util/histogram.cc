@@ -14,10 +14,10 @@ Histogram::Histogram(std::span<const double> values, std::size_t bins,
   if (values.empty()) throw std::invalid_argument("Histogram: empty input");
   if (bins == 0) throw std::invalid_argument("Histogram: bins must be >= 1");
 
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double lo = sorted.front();
-  const double hi = sorted.back();
+  const auto [min_it, max_it] =
+      std::minmax_element(values.begin(), values.end());
+  const double lo = *min_it;
+  const double hi = *max_it;
 
   edges_.resize(bins + 1);
   if (mode == BinningMode::kEqualWidth) {
@@ -28,13 +28,21 @@ Histogram::Histogram(std::span<const double> values, std::size_t bins,
   } else {
     // Quantile edges: bin b spans the [b/bins, (b+1)/bins) quantiles so
     // populations are balanced within +-1 even with repeated values.
+    // Edge b is the order statistic at b * n / bins.  Those ranks never
+    // decrease, and nth_element leaves everything above the one it places
+    // no smaller, so each selection only searches the part above the
+    // previous one.  The edges equal a full sort's without paying for it.
     edges_[0] = lo;
     edges_[bins] = hi;
-    const std::size_t n = sorted.size();
+    std::vector<double> order(values.begin(), values.end());
+    const std::size_t n = order.size();
+    auto from = order.begin();
     for (std::size_t b = 1; b < bins; ++b) {
-      const std::size_t idx =
-          std::min(n - 1, b * n / bins);
-      edges_[b] = sorted[idx];
+      const std::size_t rank = std::min(n - 1, b * n / bins);
+      const auto nth = order.begin() + static_cast<std::ptrdiff_t>(rank);
+      std::nth_element(from, nth, order.end());
+      edges_[b] = *nth;
+      from = nth;
     }
   }
   // Degenerate spread (all values equal) collapses edges; nudge the last
@@ -45,7 +53,7 @@ Histogram::Histogram(std::span<const double> values, std::size_t bins,
   }
 
   counts_.assign(bins, 0);
-  for (double v : sorted) ++counts_[bin_of(v)];
+  for (double v : values) ++counts_[bin_of(v)];
 }
 
 std::size_t Histogram::bin_of(double value) const {

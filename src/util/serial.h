@@ -24,29 +24,54 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace tifl::util {
 
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range.
-// Guards every snapshot payload and event-log record frame.
+// Guards every snapshot payload and event-log record frame.  Slicing-by-8:
+// table k advances a byte's contribution past k further bytes, so eight
+// lookups fold eight input bytes at once; the values equal the classic
+// one-table, byte-at-a-time loop (which the tail still runs).
 inline std::uint32_t crc32(const void* data, std::size_t size,
                            std::uint32_t seed = 0) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+  static const Tables tables = [] {
+    Tables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = t[k - 1][i];
+        t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+      }
     }
     return t;
   }();
+  const auto load_le32 = [](const unsigned char* p) {
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+  };
   std::uint32_t crc = ~seed;
   const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const std::uint32_t lo = load_le32(bytes) ^ crc;
+    const std::uint32_t hi = load_le32(bytes + 4);
+    crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
+          tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
+          tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
+          tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = tables[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -55,26 +80,32 @@ inline std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0) {
   return crc32(bytes.data(), bytes.size(), seed);
 }
 
-// Append-only little-endian encoder over a std::string buffer.
+// Vector elements on the wire: floats as 4-byte words, doubles, u64 and
+// size_t as 8-byte words.  Where the host is little-endian and the
+// element's in-memory size is its wire size, the in-memory bytes already
+// are the encoding, so a whole vector moves as one block copy; other hosts
+// convert element by element.  The bytes are the same either way.
+template <typename T>
+inline constexpr std::size_t kWireSize = std::is_same_v<T, float> ? 4 : 8;
+template <typename T>
+inline constexpr bool kBulkCopy =
+    std::endian::native == std::endian::little && sizeof(T) == kWireSize<T>;
+
+// Append-only little-endian encoder over a std::string buffer.  clear()
+// keeps the capacity, so a reused sink stops allocating once it has held
+// its largest payload.
 class ByteSink {
  public:
   const std::string& bytes() const noexcept { return buffer_; }
   std::string take() { return std::move(buffer_); }
   std::size_t size() const noexcept { return buffer_.size(); }
+  void clear() noexcept { buffer_.clear(); }
 
   void put_u8(std::uint8_t v) {
     buffer_.push_back(static_cast<char>(v));
   }
-  void put_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-    }
-  }
-  void put_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-    }
-  }
+  void put_u32(std::uint32_t v) { put_word(v); }
+  void put_u64(std::uint64_t v) { put_word(v); }
   void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
   void put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
   void put_f32(float v) { put_u32(std::bit_cast<std::uint32_t>(v)); }
@@ -90,24 +121,39 @@ class ByteSink {
   }
 
   // Length-prefixed element vectors; floats/doubles as raw LE words.
-  void put_f32_vec(const std::vector<float>& v) {
-    put_u64(v.size());
-    for (float x : v) put_f32(x);
-  }
-  void put_f64_vec(const std::vector<double>& v) {
-    put_u64(v.size());
-    for (double x : v) put_f64(x);
-  }
-  void put_u64_vec(const std::vector<std::uint64_t>& v) {
-    put_u64(v.size());
-    for (std::uint64_t x : v) put_u64(x);
-  }
-  void put_size_vec(const std::vector<std::size_t>& v) {
-    put_u64(v.size());
-    for (std::size_t x : v) put_u64(static_cast<std::uint64_t>(x));
-  }
+  void put_f32_vec(const std::vector<float>& v) { put_vec(v); }
+  void put_f64_vec(const std::vector<double>& v) { put_vec(v); }
+  void put_u64_vec(const std::vector<std::uint64_t>& v) { put_vec(v); }
+  void put_size_vec(const std::vector<std::size_t>& v) { put_vec(v); }
 
  private:
+  template <typename Word>
+  void put_word(Word v) {
+    char le[sizeof(Word)];
+    for (std::size_t i = 0; i < sizeof(Word); ++i) {
+      le[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+    }
+    buffer_.append(le, sizeof(Word));
+  }
+
+  template <typename T>
+  void put_vec(const std::vector<T>& v) {
+    put_u64(v.size());
+    if constexpr (kBulkCopy<T>) {
+      put_bytes(v.data(), v.size() * sizeof(T));
+    } else {
+      for (T x : v) {
+        if constexpr (std::is_same_v<T, float>) {
+          put_f32(x);
+        } else if constexpr (std::is_same_v<T, double>) {
+          put_f64(x);
+        } else {
+          put_u64(static_cast<std::uint64_t>(x));
+        }
+      }
+    }
+  }
+
   std::string buffer_;
 };
 
@@ -166,30 +212,12 @@ class ByteSource {
     return std::string(raw);
   }
 
-  std::vector<float> get_f32_vec() {
-    const std::size_t n = checked_count(get_u64(), 4);
-    std::vector<float> v(n);
-    for (float& x : v) x = get_f32();
-    return v;
-  }
-  std::vector<double> get_f64_vec() {
-    const std::size_t n = checked_count(get_u64(), 8);
-    std::vector<double> v(n);
-    for (double& x : v) x = get_f64();
-    return v;
-  }
+  std::vector<float> get_f32_vec() { return get_vec<float>(); }
+  std::vector<double> get_f64_vec() { return get_vec<double>(); }
   std::vector<std::uint64_t> get_u64_vec() {
-    const std::size_t n = checked_count(get_u64(), 8);
-    std::vector<std::uint64_t> v(n);
-    for (std::uint64_t& x : v) x = get_u64();
-    return v;
+    return get_vec<std::uint64_t>();
   }
-  std::vector<std::size_t> get_size_vec() {
-    const std::size_t n = checked_count(get_u64(), 8);
-    std::vector<std::size_t> v(n);
-    for (std::size_t& x : v) x = static_cast<std::size_t>(get_u64());
-    return v;
-  }
+  std::vector<std::size_t> get_size_vec() { return get_vec<std::size_t>(); }
 
   // Validates a decoded element count against the bytes actually left,
   // *before* the caller allocates (the nn::checkpoint corrupted-count
@@ -207,6 +235,27 @@ class ByteSource {
     if (n > remaining()) {
       throw std::runtime_error("serial: truncated input");
     }
+  }
+
+  template <typename T>
+  std::vector<T> get_vec() {
+    const std::size_t n = checked_count(get_u64(), kWireSize<T>);
+    std::vector<T> v(n);
+    if constexpr (kBulkCopy<T>) {
+      if (n > 0) std::memcpy(v.data(), bytes_.data() + offset_, n * sizeof(T));
+      offset_ += n * sizeof(T);
+    } else {
+      for (T& x : v) {
+        if constexpr (std::is_same_v<T, float>) {
+          x = get_f32();
+        } else if constexpr (std::is_same_v<T, double>) {
+          x = get_f64();
+        } else {
+          x = static_cast<T>(get_u64());
+        }
+      }
+    }
+    return v;
   }
 
   std::string_view bytes_;

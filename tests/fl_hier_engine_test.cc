@@ -399,6 +399,44 @@ TEST(HierResume, CrashedRunResumesToTheUninterruptedResult) {
   EXPECT_EQ(full.run.final_weights, resumed8.run.final_weights);
 }
 
+TEST(HierResume, FinishedRunLeavesItsLastCheckpointOnDisk) {
+  const AsyncConfig async = base_async();
+  const HierConfig hier = two_regions();
+  const double span =
+      run_tree(hier, async, 2).run.result.rounds.back().virtual_time;
+  AsyncConfig checkpointed = async;
+  checkpointed.checkpoint_every = 0.3 * span;
+  checkpointed.checkpoint_path = ::testing::TempDir() + "/hier_finished.snap";
+  const HierOutput full = run_tree(hier, checkpointed, 2);
+  const std::size_t last = full.trace.rfind("\"checkpoint\"");
+  ASSERT_NE(last, std::string::npos);
+
+  // run() has returned, so its last write is on disk: resuming from the
+  // file replays exactly the tail after the last checkpoint.
+  AsyncConfig resuming = async;
+  resuming.resume_path = checkpointed.checkpoint_path;
+  const HierOutput resumed = run_tree(hier, resuming, 2);
+  EXPECT_EQ(resumed.trace, full.trace.substr(full.trace.find('\n', last) + 1));
+  EXPECT_EQ(resumed.run.final_weights, full.run.final_weights);
+}
+
+TEST(HierResume, CheckpointWriteErrorFailsTheRun) {
+  // One checkpoint due, so only the end-of-run flush can rethrow the
+  // writer thread's error.
+  AsyncConfig async = base_async();
+  async.checkpoint_every =
+      0.6 *
+      run_tree(two_regions(), async, 2).run.result.rounds.back().virtual_time;
+  async.checkpoint_path = ::testing::TempDir() + "/no_such_dir/hier.snap";
+  try {
+    run_tree(two_regions(), async, 2);
+    ADD_FAILURE() << "a failed checkpoint write was lost";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("snapshot:"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(HierResume, SnapshotRefusesADifferentTree) {
   const AsyncConfig async = base_async();
   const HierConfig hier = two_regions();

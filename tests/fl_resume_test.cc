@@ -344,5 +344,59 @@ TEST(FlResume, CheckpointConfigIsValidated) {
                std::invalid_argument);
 }
 
+// --- the snapshot writer inside a run ------------------------------------------
+
+// The trace after the last checkpoint instant: what a resume from that
+// checkpoint replays.
+std::string trace_after_last_checkpoint(const std::string& trace) {
+  const std::size_t last = trace.rfind("\"checkpoint\"");
+  if (last == std::string::npos) return trace;
+  return trace.substr(trace.find('\n', last) + 1);
+}
+
+TEST(FlResume, FinishedRunLeavesItsLastCheckpointOnDisk) {
+  for (const bool dynamic : {false, true}) {
+    const std::string tag = dynamic ? "dynamic" : "static";
+    const AsyncConfig async = dynamic ? dynamic_config() : static_config();
+    const double span =
+        run_once(async, 2).result.result.rounds.back().virtual_time;
+    AsyncConfig checkpointed = async;
+    checkpointed.checkpoint_every = 0.3 * span;
+    checkpointed.checkpoint_path =
+        ::testing::TempDir() + "/finished_" + tag + ".snap";
+    const RunOutput full = run_once(checkpointed, 2);
+    ASSERT_NE(full.trace.find("\"checkpoint\""), std::string::npos) << tag;
+
+    // run() has returned, so its last write is on disk: resuming from the
+    // file replays exactly the tail after the last checkpoint.
+    AsyncConfig resuming = async;
+    resuming.resume_path = checkpointed.checkpoint_path;
+    const RunOutput resumed = run_once(resuming, 2);
+    EXPECT_EQ(resumed.trace, trace_after_last_checkpoint(full.trace)) << tag;
+    EXPECT_EQ(resumed.result.final_weights, full.result.final_weights)
+        << tag;
+  }
+}
+
+TEST(FlResume, CheckpointWriteErrorFailsTheRun) {
+  // The write fails on the writer thread.  With a single checkpoint due,
+  // no later hand-off collects it: run() must rethrow it at its end.
+  for (const bool dynamic : {false, true}) {
+    AsyncConfig async = dynamic ? dynamic_config() : static_config();
+    const double span =
+        run_once(async, 2).result.result.rounds.back().virtual_time;
+    async.checkpoint_every = 0.6 * span;
+    async.checkpoint_path = ::testing::TempDir() + "/no_such_dir/run.snap";
+    try {
+      run_once(async, 2);
+      ADD_FAILURE() << "a failed checkpoint write was lost";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("snapshot:"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tifl::fl

@@ -8,14 +8,17 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/adaptive_policy.h"
 #include "fl/snapshot.h"
+#include "obs/metrics.h"
 #include "sim/churn_model.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
@@ -57,6 +60,25 @@ void spit(const std::string& path, const std::string& bytes) {
 TEST(FlSnapshot, RoundTripsPayloadBytes) {
   const std::string path = write_golden("roundtrip.snap");
   EXPECT_EQ(fl::load_snapshot(path), golden_payload());
+}
+
+TEST(FlSnapshot, GoldenFileBytesArePinned) {
+  // The whole version-2 file for golden_payload(), header and CRC
+  // included, as written before the codec moved to bulk copies and a
+  // sliced CRC.  Any drift of the on-disk format fails here.
+  constexpr std::string_view kGoldenHex =
+      "5449464c534e5031020000005600000000000000016502b60df0fecaefbeadde"
+      "6e861bf0f92109400a000000000000007469657220737461746503000000000000"
+      "000000c03f000020c00000000003000000000000000700000000000000080000"
+      "00000000000900000000000000";
+  const std::string bytes = slurp(write_golden("pinned.snap"));
+  std::string hex;
+  for (unsigned char c : bytes) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xF];
+  }
+  EXPECT_EQ(hex, kGoldenHex);
 }
 
 TEST(FlSnapshot, OverwriteIsAtomicReplacement) {
@@ -107,6 +129,75 @@ TEST(FlSnapshot, TrailingGarbageIsRejected) {
   EXPECT_THROW(
       fl::load_snapshot(::testing::TempDir() + "/trailing_victim.snap"),
       std::runtime_error);
+}
+
+// --- SnapshotWriter ------------------------------------------------------------
+
+std::string payload_of(std::size_t generation) {
+  util::ByteSink sink;
+  sink.put_u64(generation);
+  sink.put_f32_vec(std::vector<float>(1000 + generation, 0.5f));
+  return sink.take();
+}
+
+TEST(SnapshotWriter, NoCheckpointStartsNoThread) {
+  const std::string path = ::testing::TempDir() + "/writer_idle.snap";
+  std::remove(path.c_str());
+  fl::SnapshotWriter writer(path);
+  writer.flush();
+  EXPECT_FALSE(writer.thread_started());
+  EXPECT_FALSE(std::ifstream(path).good());
+}
+
+TEST(SnapshotWriter, FlushLeavesTheLastPayloadOnDisk) {
+  const std::string path = ::testing::TempDir() + "/writer_last.snap";
+  obs::Registry::global().reset();
+  fl::SnapshotWriter writer(path);
+  std::uint64_t bytes = 0;
+  for (std::size_t generation = 0; generation < 5; ++generation) {
+    writer.write(static_cast<double>(generation), generation, generation,
+                 [&](util::ByteSink& sink) {
+                   const std::string payload = payload_of(generation);
+                   sink.put_bytes(payload.data(), payload.size());
+                 });
+    bytes += 24 + payload_of(generation).size();
+  }
+  EXPECT_TRUE(writer.thread_started());
+  writer.flush();
+  EXPECT_EQ(fl::load_snapshot(path), payload_of(4));
+  obs::Registry& reg = obs::Registry::global();
+  EXPECT_EQ(reg.counter("checkpoint.writes").value(), 5u);
+  EXPECT_EQ(reg.counter("checkpoint.bytes").value(), bytes);
+  EXPECT_GT(reg.counter("checkpoint.io_ns").value(), 0u);
+}
+
+TEST(SnapshotWriter, DestructorWaitsForTheWriteInFlight) {
+  const std::string path = ::testing::TempDir() + "/writer_unwind.snap";
+  std::remove(path.c_str());
+  {
+    fl::SnapshotWriter writer(path);
+    writer.write(0.0, 0, 0, [](util::ByteSink& sink) {
+      const std::string payload = payload_of(7);
+      sink.put_bytes(payload.data(), payload.size());
+    });
+  }
+  EXPECT_EQ(fl::load_snapshot(path), payload_of(7));
+}
+
+TEST(SnapshotWriter, WriteErrorSurfacesAtTheNextHandOffOrFlush) {
+  const std::string path = ::testing::TempDir() + "/no_such_dir/w.snap";
+  const auto encode = [](util::ByteSink& sink) { sink.put_u64(1); };
+  {
+    fl::SnapshotWriter writer(path);
+    writer.write(0.0, 0, 0, encode);  // fails on the writer thread
+    EXPECT_THROW(writer.flush(), std::runtime_error);
+    writer.flush();  // the error is reported once
+  }
+  {
+    fl::SnapshotWriter writer(path);
+    writer.write(0.0, 0, 0, encode);
+    EXPECT_THROW(writer.write(1.0, 1, 1, encode), std::runtime_error);
+  }
 }
 
 // --- substate round trips -----------------------------------------------------

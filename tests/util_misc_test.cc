@@ -149,6 +149,15 @@ TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
   EXPECT_THROW(cli.get_double("empty", 0.0), std::invalid_argument);
   EXPECT_THROW(cli.get_int("ok", 0), std::invalid_argument);  // not integral
   EXPECT_DOUBLE_EQ(cli.get_double("ok", 0.0), 0.25);
+  // The same parsing, for tools that walk argv themselves: counts refuse
+  // a sign as well as junk.
+  EXPECT_EQ(parse_count("clients", "2000"), 2000u);
+  EXPECT_NE(message([] { parse_count("clients", "abc"); }).find("--clients"),
+            std::string::npos);
+  EXPECT_THROW(parse_count("clients", "-1"), std::invalid_argument);
+  EXPECT_THROW(parse_count("clients", "+1"), std::invalid_argument);
+  EXPECT_EQ(parse_int("batch", "-3"), -3);
+  EXPECT_THROW(parse_double("scale", "inf"), std::invalid_argument);
 }
 
 // --- Log ---------------------------------------------------------------------

@@ -226,6 +226,73 @@ TEST(Histogram, AllValuesEqualStillValid) {
   EXPECT_EQ(total, 3u);
 }
 
+// The sort-based construction the selection-based one replaced: edges at
+// the sorted order statistics b * n / bins, counts over the sorted values.
+struct ReferenceBins {
+  std::vector<double> edges;
+  std::vector<std::size_t> counts;
+};
+
+ReferenceBins sorted_reference(std::vector<double> xs, std::size_t bins,
+                               BinningMode mode) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  ReferenceBins ref;
+  ref.edges.resize(bins + 1);
+  if (mode == BinningMode::kEqualWidth) {
+    const double width = (xs.back() - xs.front()) / static_cast<double>(bins);
+    for (std::size_t b = 0; b <= bins; ++b) {
+      ref.edges[b] = xs.front() + width * static_cast<double>(b);
+    }
+  } else {
+    ref.edges[0] = xs.front();
+    ref.edges[bins] = xs.back();
+    for (std::size_t b = 1; b < bins; ++b) {
+      ref.edges[b] = xs[std::min(n - 1, b * n / bins)];
+    }
+  }
+  if (ref.edges.back() <= ref.edges.front()) {
+    ref.edges.back() = ref.edges.front() +
+                       std::max(1e-12, std::abs(ref.edges.front()) * 1e-12);
+  }
+  ref.counts.assign(bins, 0);
+  for (double x : xs) {
+    const auto it =
+        std::upper_bound(ref.edges.begin() + 1, ref.edges.end() - 1, x);
+    ++ref.counts[static_cast<std::size_t>(it - (ref.edges.begin() + 1))];
+  }
+  return ref;
+}
+
+TEST(Histogram, EdgesAndCountsEqualTheSortedReference) {
+  Rng rng(11);
+  std::vector<std::vector<double>> inputs;
+  for (std::size_t n : {1u, 2u, 7u, 100u, 1001u}) {
+    std::vector<double> random(n);
+    for (double& x : random) x = rng.lognormal(0.0, 1.0);
+    inputs.push_back(random);
+    std::vector<double> tied(n);  // three distinct values, heavily repeated
+    for (double& x : tied) x = static_cast<double>(rng.uniform_index(3));
+    inputs.push_back(tied);
+    inputs.push_back(std::vector<double>(n, 4.25));  // all equal
+  }
+  for (const std::vector<double>& xs : inputs) {
+    for (std::size_t bins : {1u, 2u, 3u, 5u, 16u}) {
+      for (BinningMode mode :
+           {BinningMode::kQuantile, BinningMode::kEqualWidth}) {
+        const Histogram h(xs, bins, mode);
+        const ReferenceBins ref = sorted_reference(xs, bins, mode);
+        EXPECT_EQ(h.edges(), ref.edges)
+            << "n " << xs.size() << " bins " << bins;
+        for (std::size_t b = 0; b < bins; ++b) {
+          EXPECT_EQ(h.count(b), ref.counts[b])
+              << "n " << xs.size() << " bins " << bins << " bin " << b;
+        }
+      }
+    }
+  }
+}
+
 TEST(Histogram, ThrowsOnEmptyOrZeroBins) {
   const std::vector<double> empty;
   EXPECT_THROW(Histogram(empty, 3, BinningMode::kEqualWidth),
