@@ -7,11 +7,12 @@
 //                    final weight hash every other point must reproduce.
 //   2. checkpointed — snapshots every span/8 virtual seconds plus the
 //                    CRC-framed event log.  Reports snapshot count, mean
-//                    snapshot bytes, the mean time a checkpoint holds the
-//                    event loop (checkpoint.write_ns: encode plus any wait
-//                    for the previous write), the mean CRC + I/O time on
-//                    the writer thread (checkpoint.io_ns) and the
-//                    end-to-end overhead versus the baseline.
+//                    snapshot bytes, the mean whole cost of a checkpoint
+//                    (checkpoint.write_ns: encode, CRC and I/O), the
+//                    mean part of it the event loop waits for
+//                    (checkpoint.loop_ns: encode plus any wait for the
+//                    previous write) and the end-to-end overhead versus
+//                    the baseline.
 //   3. crash+resume — the same checkpointed run killed by an injected
 //                    crash at 60% of the span, then resumed from the last
 //                    snapshot.  Reports the resume wall time, the
@@ -117,7 +118,7 @@ struct RunPoint {
   std::size_t snapshots = 0;
   double snapshot_mean_kib = 0.0;
   double snapshot_mean_ms = 0.0;
-  double snapshot_mean_io_ms = 0.0;
+  double snapshot_mean_loop_ms = 0.0;
 };
 
 // Runs the async engine over a fresh federation; throws sim::SimulatedCrash
@@ -149,8 +150,8 @@ RunPoint run_point(const std::string& label, std::size_t clients,
     point.snapshot_mean_ms =
         static_cast<double>(reg.counter("checkpoint.write_ns").value()) /
         static_cast<double>(point.snapshots) / 1e6;
-    point.snapshot_mean_io_ms =
-        static_cast<double>(reg.counter("checkpoint.io_ns").value()) /
+    point.snapshot_mean_loop_ms =
+        static_cast<double>(reg.counter("checkpoint.loop_ns").value()) /
         static_cast<double>(point.snapshots) / 1e6;
   }
   return point;
@@ -221,11 +222,11 @@ int main(int argc, char** argv) {
         "%-14s %9.2f %9.2f %8zu %8zu  %016llx %5zu %9.1f %8.2f %8.2f\n",
         r.label.c_str(), r.build_seconds, r.run_seconds, r.updates, r.events,
         static_cast<unsigned long long>(r.final_weight_hash), r.snapshots,
-        r.snapshot_mean_kib, r.snapshot_mean_ms, r.snapshot_mean_io_ms);
+        r.snapshot_mean_kib, r.snapshot_mean_ms, r.snapshot_mean_loop_ms);
   };
   std::printf("%-14s %9s %9s %8s %8s  %-16s %5s %9s %8s %8s\n", "point",
               "build [s]", "run [s]", "updates", "events", "hash", "snaps",
-              "KiB/snap", "ms/snap", "io ms");
+              "KiB/snap", "ms/snap", "loop ms");
 
   const fl::AsyncConfig base_async = bench::recovery_async(updates);
   const RunPoint baseline =
@@ -301,7 +302,8 @@ int main(int argc, char** argv) {
          << ", \"snapshots\": " << r.snapshots
          << ", \"snapshot_mean_kib\": " << r.snapshot_mean_kib
          << ", \"snapshot_mean_ms\": " << r.snapshot_mean_ms
-         << ", \"snapshot_mean_io_ms\": " << r.snapshot_mean_io_ms << "}";
+         << ", \"snapshot_mean_loop_ms\": " << r.snapshot_mean_loop_ms
+         << "}";
   };
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"recovery\",\n  \"build\": "

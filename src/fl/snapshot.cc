@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -38,7 +39,7 @@ struct CheckpointMetrics {
   obs::Counter& writes;
   obs::Counter& bytes;
   obs::Counter& write_ns;
-  obs::Counter& io_ns;
+  obs::Counter& loop_ns;
 };
 
 CheckpointMetrics& checkpoint_metrics() {
@@ -47,7 +48,7 @@ CheckpointMetrics& checkpoint_metrics() {
       reg.counter("checkpoint.writes"),
       reg.counter("checkpoint.bytes"),
       reg.counter("checkpoint.write_ns"),
-      reg.counter("checkpoint.io_ns"),
+      reg.counter("checkpoint.loop_ns"),
   };
   return m;
 }
@@ -75,6 +76,7 @@ void SnapshotWriter::write(
   util::ByteSink& sink = sinks_[next_];
   sink.clear();
   encode(sink);
+  metrics.write_ns.add(obs::wall_ns_count_since(start));
   flush();
   if (!writer_) writer_ = std::make_unique<util::ThreadPool>(1);
   in_flight_ = writer_->submit([this, &sink] {
@@ -85,7 +87,7 @@ void SnapshotWriter::write(
   next_ ^= 1;
   metrics.writes.add();
   metrics.bytes.add(kSnapshotHeaderBytes + sink.size());
-  metrics.write_ns.add(obs::wall_ns_count_since(start));
+  metrics.loop_ns.add(obs::wall_ns_count_since(start));
   if (obs::Tracer* t = obs::tracer()) {
     t->instant(virtual_time, "durability", "checkpoint", /*actor=*/0,
                {obs::field("version", version), obs::field("events", events)});
@@ -96,7 +98,7 @@ void SnapshotWriter::flush() {
   if (!in_flight_.valid()) return;
   std::future<void> done = std::move(in_flight_);
   done.get();
-  checkpoint_metrics().io_ns.add(io_ns_);
+  checkpoint_metrics().write_ns.add(io_ns_);
 }
 
 void save_snapshot(const std::string& path, std::string_view payload) {
@@ -105,6 +107,7 @@ void save_snapshot(const std::string& path, std::string_view payload) {
   header.put_u32(kSnapshotVersion);
   header.put_u64(payload.size());
   header.put_u32(util::crc32(payload));
+  assert(header.size() == kSnapshotHeaderBytes);
 
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -161,7 +164,7 @@ std::string load_snapshot(const std::string& path) {
       std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
     throw std::runtime_error("snapshot: bad magic in " + path);
   }
-  char fixed[4 + 8 + 4] = {};
+  char fixed[kSnapshotHeaderBytes - sizeof(kSnapshotMagic)] = {};
   in.read(fixed, sizeof(fixed));
   if (in.gcount() != static_cast<std::streamsize>(sizeof(fixed))) {
     throw std::runtime_error("snapshot: truncated header in " + path);

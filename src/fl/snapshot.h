@@ -31,9 +31,10 @@
 // checkpoint complete on disk.  A write error is rethrown on the loop
 // thread at the next hand-off or flush().  Counters, all updated on the
 // loop thread: checkpoint.writes and checkpoint.bytes (header + payload);
-// checkpoint.write_ns, the loop thread's time per checkpoint (encode plus
-// any wait for the previous write); checkpoint.io_ns, the writer's CRC
-// and I/O time, added when the loop thread collects the write.
+// checkpoint.write_ns, the whole cost of a checkpoint wherever it runs
+// (encode on the loop thread plus CRC and I/O on the writer, added when
+// the loop thread collects the write); checkpoint.loop_ns, the part the
+// event loop waits for (encode plus any wait for the previous write).
 #pragma once
 
 #include <array>
@@ -58,7 +59,8 @@ inline constexpr char kSnapshotMagic[8] = {'T', 'I', 'F', 'L',
 // under another version is rejected on load, never misread.
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 
-// Bytes the container header adds before the payload.
+// Bytes the container header adds before the payload: the magic, then
+// the u32 version, u64 payload size and u32 CRC.
 inline constexpr std::size_t kSnapshotHeaderBytes =
     sizeof(kSnapshotMagic) + 4 + 8 + 4;
 
@@ -86,8 +88,6 @@ class SnapshotWriter {
              const std::function<void(util::ByteSink&)>& encode);
   // Waits for the write in flight and rethrows its error.
   void flush();
-  // True once the first write() started the writer thread.
-  bool thread_started() const noexcept { return writer_ != nullptr; }
 
  private:
   const std::string path_;

@@ -3,7 +3,10 @@
 //
 // Design rules (shared by every snapshot/event-log consumer):
 //   * explicit little-endian byte order, so snapshot files are portable
-//     across hosts (matching the nn::checkpoint flat-weight format);
+//     across hosts (matching the nn::checkpoint flat-weight format).  The
+//     host must be little-endian with 8-byte size_t (checked at compile
+//     time below), so a value's in-memory bytes are its encoding and
+//     scalars and whole vectors are copied, never converted;
 //   * every read validates against the remaining byte count *before*
 //     allocating or advancing — a corrupted length prefix yields a clean
 //     std::runtime_error, never a multi-GB allocation or an overrun;
@@ -24,10 +27,17 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace tifl::util {
+
+// Floats go on the wire as 4-byte words; doubles, u64 and size_t as
+// 8-byte words.  A port to a big-endian host or another size_t width
+// fails here instead of writing foreign bytes.
+static_assert(std::endian::native == std::endian::little &&
+                  sizeof(std::size_t) == 8 && sizeof(float) == 4 &&
+                  sizeof(double) == 8,
+              "util/serial copies in-memory bytes as little-endian words");
 
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range.
 // Guards every snapshot payload and event-log record frame.  Slicing-by-8:
@@ -55,10 +65,9 @@ inline std::uint32_t crc32(const void* data, std::size_t size,
     return t;
   }();
   const auto load_le32 = [](const unsigned char* p) {
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
+    std::uint32_t word;
+    std::memcpy(&word, p, sizeof(word));
+    return word;
   };
   std::uint32_t crc = ~seed;
   const auto* bytes = static_cast<const unsigned char*>(data);
@@ -80,17 +89,6 @@ inline std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0) {
   return crc32(bytes.data(), bytes.size(), seed);
 }
 
-// Vector elements on the wire: floats as 4-byte words, doubles, u64 and
-// size_t as 8-byte words.  Where the host is little-endian and the
-// element's in-memory size is its wire size, the in-memory bytes already
-// are the encoding, so a whole vector moves as one block copy; other hosts
-// convert element by element.  The bytes are the same either way.
-template <typename T>
-inline constexpr std::size_t kWireSize = std::is_same_v<T, float> ? 4 : 8;
-template <typename T>
-inline constexpr bool kBulkCopy =
-    std::endian::native == std::endian::little && sizeof(T) == kWireSize<T>;
-
 // Append-only little-endian encoder over a std::string buffer.  clear()
 // keeps the capacity, so a reused sink stops allocating once it has held
 // its largest payload.
@@ -104,8 +102,8 @@ class ByteSink {
   void put_u8(std::uint8_t v) {
     buffer_.push_back(static_cast<char>(v));
   }
-  void put_u32(std::uint32_t v) { put_word(v); }
-  void put_u64(std::uint64_t v) { put_word(v); }
+  void put_u32(std::uint32_t v) { put_bytes(&v, sizeof(v)); }
+  void put_u64(std::uint64_t v) { put_bytes(&v, sizeof(v)); }
   void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
   void put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
   void put_f32(float v) { put_u32(std::bit_cast<std::uint32_t>(v)); }
@@ -127,31 +125,10 @@ class ByteSink {
   void put_size_vec(const std::vector<std::size_t>& v) { put_vec(v); }
 
  private:
-  template <typename Word>
-  void put_word(Word v) {
-    char le[sizeof(Word)];
-    for (std::size_t i = 0; i < sizeof(Word); ++i) {
-      le[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
-    }
-    buffer_.append(le, sizeof(Word));
-  }
-
   template <typename T>
   void put_vec(const std::vector<T>& v) {
     put_u64(v.size());
-    if constexpr (kBulkCopy<T>) {
-      put_bytes(v.data(), v.size() * sizeof(T));
-    } else {
-      for (T x : v) {
-        if constexpr (std::is_same_v<T, float>) {
-          put_f32(x);
-        } else if constexpr (std::is_same_v<T, double>) {
-          put_f64(x);
-        } else {
-          put_u64(static_cast<std::uint64_t>(x));
-        }
-      }
-    }
+    put_bytes(v.data(), v.size() * sizeof(T));
   }
 
   std::string buffer_;
@@ -172,28 +149,8 @@ class ByteSource {
     need(1);
     return static_cast<std::uint8_t>(bytes_[offset_++]);
   }
-  std::uint32_t get_u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[offset_ + i]))
-           << (8 * i);
-    }
-    offset_ += 4;
-    return v;
-  }
-  std::uint64_t get_u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[offset_ + i]))
-           << (8 * i);
-    }
-    offset_ += 8;
-    return v;
-  }
+  std::uint32_t get_u32() { return get_word<std::uint32_t>(); }
+  std::uint64_t get_u64() { return get_word<std::uint64_t>(); }
   std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
   double get_f64() { return std::bit_cast<double>(get_u64()); }
   float get_f32() { return std::bit_cast<float>(get_u32()); }
@@ -237,24 +194,21 @@ class ByteSource {
     }
   }
 
+  template <typename Word>
+  Word get_word() {
+    need(sizeof(Word));
+    Word v;
+    std::memcpy(&v, bytes_.data() + offset_, sizeof(Word));
+    offset_ += sizeof(Word);
+    return v;
+  }
+
   template <typename T>
   std::vector<T> get_vec() {
-    const std::size_t n = checked_count(get_u64(), kWireSize<T>);
+    const std::size_t n = checked_count(get_u64(), sizeof(T));
     std::vector<T> v(n);
-    if constexpr (kBulkCopy<T>) {
-      if (n > 0) std::memcpy(v.data(), bytes_.data() + offset_, n * sizeof(T));
-      offset_ += n * sizeof(T);
-    } else {
-      for (T& x : v) {
-        if constexpr (std::is_same_v<T, float>) {
-          x = get_f32();
-        } else if constexpr (std::is_same_v<T, double>) {
-          x = get_f64();
-        } else {
-          x = static_cast<T>(get_u64());
-        }
-      }
-    }
+    if (n > 0) std::memcpy(v.data(), bytes_.data() + offset_, n * sizeof(T));
+    offset_ += n * sizeof(T);
     return v;
   }
 
